@@ -457,7 +457,7 @@ _ARROW_TRANSITIVITY = "x <= y, y <= z |- x <= z"
 _ARROW_SEARCH_BOUND = 6
 
 
-def _class_level_arrow(max_size: int):
+def _class_level_arrow():
     found = modelsearch.find_counterexample(_ARROW_TRANSITIVITY, "invbe", _ARROW_SEARCH_BOUND)
     if found is None:
         return Status.FAIL, f"no non-transitive witness up to n={_ARROW_SEARCH_BOUND}"
@@ -651,7 +651,7 @@ def run_bank_enumerated(klass: str, max_size: int) -> EnumeratedBankReport:
                 break
     for entry in ENTRIES:
         if entry.class_level:
-            status, detail = _class_level_arrow(max_size)
+            status, detail = _class_level_arrow()
             best[entry.entry_id] = EntryResult(entry.entry_id, status, detail)
         best.setdefault(entry.entry_id, EntryResult(entry.entry_id, Status.SKIP, "no applicable model"))
     aggregated = tuple(best[e.entry_id] for e in ENTRIES)

@@ -120,7 +120,6 @@ def _cmd_enumerate(args) -> int:
         klass=args.klass,
         modulo_iso=args.modulo_iso,
         cell_order=args.cell_order,
-        orderly=args.orderly,
         max_size=args.max_size,
     )
     count = 0
@@ -285,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", help="directory for emitted algtab files")
     p.add_argument("--max-size", type=int, default=modelsearch.DEFAULT_MAX_SIZE,
                    help="hard size cap (default 8); raise explicitly for bigger runs")
-    p.add_argument("--orderly", action="store_true",
-                   help="emit only self-canonical tables instead of memo deduplication")
     p.add_argument("--cell-order", choices=("row-major", "column-major"),
                    default="row-major")
     p.set_defaults(fn=_cmd_enumerate)

@@ -9,6 +9,23 @@ incremental violation checks.  `brute_force_models` is the unpruned
 cross-check: it enumerates every completion of the definitionally forced
 frame and post-filters with hand-coded axiom loops, sharing nothing with the
 backtracker but the labeling convention.
+
+Symmetry is broken before the search, not after it.  An isomorphism fixes
+zero and one, so it carries x' = x -> 0 to the negation of the image: it
+conjugates one negation into the other.  Two involutions that swap 0 and
+n-1 and fix the same number of middle elements are conjugate under a
+relabeling of the middles, so modulo isomorphism the search runs one
+representative involution per fixed-point count (4 of 76 at n=8).  Models
+with different representatives are never isomorphic, and two models with
+the same negation sigma are isomorphic exactly when a relabeling in the
+centralizer C(sigma) maps one onto the other.  Raw tables are therefore
+deduplicated by their least relabeling over C(sigma) (48 relabelings at
+n=8, 384 at n=10, against (n-2)! for the canonical form), and the global
+canonical form is computed once per surviving class, so the emitted tables
+and their order do not depend on these choices.  The base class `be` has
+no negation to fix: its group is every relabeling of the middles and its
+key is the canonical form itself.  Without `modulo_iso` the search runs
+every involution, which is the labeled enumeration.
 """
 
 from __future__ import annotations
@@ -38,9 +55,7 @@ class EnumerationTask:
     size: int
     klass: str = "implinvbe"
     modulo_iso: bool = True
-    statement: str | None = None
     cell_order: str = "row-major"
-    orderly: bool = False
     max_size: int = DEFAULT_MAX_SIZE
 
     def __post_init__(self):
@@ -80,6 +95,39 @@ def _involutions(n: int) -> list[tuple[int, ...]]:
 
     rec(middles, [])
     return found
+
+
+def _representative_involutions(n: int) -> list[tuple[int, ...]]:
+    """One involution per conjugacy class under relabelings of the middles:
+    pairs (1 2)(3 4)... first, then the fixed points."""
+    found = []
+    for pairs in range((n - 2) // 2 + 1):
+        sigma = list(range(n))
+        sigma[0], sigma[n - 1] = n - 1, 0
+        for a in range(1, 2 * pairs, 2):
+            sigma[a], sigma[a + 1] = a + 1, a
+        found.append(tuple(sigma))
+    return found
+
+
+def _centralizer(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The relabelings fixing 0 and n-1 that commute with sigma, as orders
+    for `structure.canonical_key`: they permute the fixed middles among
+    themselves and the 2-cycles among themselves, each either way round."""
+    n = len(sigma)
+    fixed = [a for a in range(1, n - 1) if sigma[a] == a]
+    pairs = [(a, sigma[a]) for a in range(1, n - 1) if a < sigma[a]]
+    orders = []
+    for fixed_image in itertools.permutations(fixed):
+        for pair_image in itertools.permutations(pairs):
+            for flips in itertools.product((False, True), repeat=len(pairs)):
+                order = list(range(n))
+                for a, b in zip(fixed, fixed_image):
+                    order[a] = b
+                for (a, b), (c, d), flip in zip(pairs, pair_image, flips):
+                    order[a], order[b] = (d, c) if flip else (c, d)
+                orders.append(tuple(order))
+    return orders
 
 
 class _Searcher:
@@ -252,24 +300,23 @@ class _Searcher:
 
     # -- driver ---------------------------------------------------------------
 
-    def run(self) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def run(self, sigma) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Every table whose negation column is sigma (None: unconstrained)."""
         n = self.n
-        sigmas = _involutions(n) if self.involutive else [None]
-        for sigma in sigmas:
-            t = self._init_table(sigma)
-            if t is None:
-                continue
-            free = [(a, b) for a in range(n) for b in range(n) if t[a][b] is None]
-            if self.cell_order == "column-major":
-                free.sort(key=lambda cell: (cell[1], cell[0]))
-            if sigma is not None:
-                kept = []
-                for a, b in free:
-                    mirror = (sigma[b], sigma[a])
-                    if mirror == (a, b) or (a, b) < mirror:
-                        kept.append((a, b))
-                free = kept
-            yield from self._assign(t, free, 0, sigma)
+        t = self._init_table(sigma)
+        if t is None:
+            return
+        free = [(a, b) for a in range(n) for b in range(n) if t[a][b] is None]
+        if self.cell_order == "column-major":
+            free.sort(key=lambda cell: (cell[1], cell[0]))
+        if sigma is not None:
+            kept = []
+            for a, b in free:
+                mirror = (sigma[b], sigma[a])
+                if mirror == (a, b) or (a, b) < mirror:
+                    kept.append((a, b))
+            free = kept
+        yield from self._assign(t, free, 0, sigma)
 
     def _assign(self, t, free, idx, sigma):
         n = self.n
@@ -317,26 +364,35 @@ def enumerate_models(task: EnumerationTask) -> Iterator[FiniteAlgebra]:
     """All models of the class at the requested size, deterministically.
 
     Output is sorted by canonical form ascending; with `modulo_iso` exactly
-    one representative per isomorphism class survives.  Every emitted model
-    is re-classified against the requested class before being yielded.
+    one representative per isomorphism class survives, in its canonical
+    labeling.  Every emitted model is re-classified against the requested
+    class before being yielded.
     """
-    searcher = _Searcher(task.size, task.klass, task.cell_order)
+    n = task.size
+    searcher = _Searcher(n, task.klass, task.cell_order)
+    if not searcher.involutive:
+        sigmas = [None]
+    elif task.modulo_iso:
+        sigmas = _representative_involutions(n)
+    else:
+        sigmas = _involutions(n)
     found = []
-    seen = set()
-    for table in searcher.run():
-        alg = _table_to_algebra(table, task.size)
-        key = structure.canonical_key(alg)
-        if task.modulo_iso:
-            if task.orderly:
-                if alg.table != key:
-                    continue
-            elif key in seen:
+    for sigma in sigmas:
+        group = _centralizer(sigma) if task.modulo_iso and sigma is not None else None
+        seen = set()
+        for table in searcher.run(sigma):
+            alg = _table_to_algebra(table, n)
+            if not task.modulo_iso:
+                found.append((structure.canonical_key(alg), alg.table, alg))
+                continue
+            key = structure.canonical_key(alg, group)
+            if key in seen:
                 continue
             seen.add(key)
             # emit the canonical labeling so the representative does not
-            # depend on the cell-assignment schedule
-            alg = _table_to_algebra(key, task.size)
-        found.append((key, alg.table, alg))
+            # depend on the representative involution or the cell schedule
+            canonical = key if group is None else structure.canonical_form(alg).table
+            found.append((canonical, canonical, _table_to_algebra(canonical, n)))
     found.sort(key=lambda item: (item[0], item[1]))
     checker = _CLASS_LABEL_CHECK[task.klass]
     for _, _, alg in found:
@@ -359,10 +415,9 @@ def find_counterexample(statement, klass: str, max_size: int):
     Ties are broken by canonical order, so the result is deterministic.
     """
     stmt = terms.parse_statement(statement) if isinstance(statement, str) else statement
-    source = statement if isinstance(statement, str) else terms.format_statement(statement)
     for n in range(2, max_size + 1):
         task = EnumerationTask(size=n, klass=klass, modulo_iso=True,
-                               statement=source, max_size=max(n, DEFAULT_MAX_SIZE))
+                               max_size=max(n, DEFAULT_MAX_SIZE))
         for alg in enumerate_models(task):
             result = terms.holds(stmt, alg)
             if not result.ok:

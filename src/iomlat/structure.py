@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebras import FiniteAlgebra
 from .errors import ConsistencyError, InputError
@@ -139,20 +140,21 @@ def restrict(alg: FiniteAlgebra, subset) -> FiniteAlgebra:
 
 def _colors(alg: FiniteAlgebra, rounds: int = 3) -> tuple[int, ...]:
     """Iterated invariant refinement; equal colors are necessary for any
-    isomorphism to match elements."""
+    isomorphism to match elements.  Each round's colors are the ranks of the
+    signatures in sorted order, so they compare across algebras."""
     n = alg.size
     t = alg.table
     color = [(a == alg.zero, a == alg.one) for a in range(n)]
     for _ in range(rounds):
-        interned: dict = {}
-        nxt = []
-        for a in range(n):
-            sig = (
+        sigs = [
+            (
                 color[a],
                 tuple(sorted((color[b], color[t[a][b]], color[t[b][a]]) for b in range(n))),
             )
-            nxt.append(interned.setdefault(sig, len(interned)))
-        color = nxt
+            for a in range(n)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        color = [rank[sig] for sig in sigs]
     return tuple(color)
 
 
@@ -240,6 +242,35 @@ def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[int, int] | None:
     return result
 
 
+def _least_relabeling(table, orders) -> tuple[tuple[int, ...], ...]:
+    """The least relabeled table, compared row by row, over `orders`.
+
+    Each order lists the old elements in their new index order.  A
+    candidate is dropped at its first row above the best so far.
+    """
+    n = len(table)
+    best = None
+    for order in orders:
+        to_new = [0] * n
+        for new, old in enumerate(order):
+            to_new[old] = new
+        pick = itemgetter(*order)
+        relabel = to_new.__getitem__
+        below = best is None
+        rows = []
+        for i, old in enumerate(order):
+            row = tuple(map(relabel, pick(table[old])))
+            if not below:
+                if row > best[i]:
+                    break
+                below = row < best[i]
+            rows.append(row)
+        else:
+            if below:
+                best = rows
+    return tuple(best)
+
+
 def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:
     """Least relabeling: zero at index 0, one at index n-1, middles permuted
     to minimize the flattened table.  Two algebras are isomorphic exactly
@@ -248,31 +279,23 @@ def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:
     if n == 1:
         return FiniteAlgebra(names=("e0",), table=((0,),), one=0, zero=0)
     middles = [i for i in range(n) if i not in (alg.zero, alg.one)]
-    slots = list(range(1, n - 1))
-    t = alg.table
-    best = None
-    for perm in itertools.permutations(slots):
-        to_new = [0] * n
-        to_new[alg.zero] = 0
-        to_new[alg.one] = n - 1
-        for old, new in zip(middles, perm):
-            to_new[old] = new
-        old_of = [0] * n
-        for old, new in enumerate(to_new):
-            old_of[new] = old
-        flat = tuple(
-            to_new[t[old_of[i]][old_of[j]]] for i in range(n) for j in range(n)
-        )
-        if best is None or flat < best:
-            best = flat
+    orders = ((alg.zero,) + perm + (alg.one,) for perm in itertools.permutations(middles))
     names = tuple(f"e{i}" for i in range(n))
-    table = tuple(tuple(best[i * n + j] for j in range(n)) for i in range(n))
-    return FiniteAlgebra(names=names, table=table, one=n - 1, zero=0)
+    return FiniteAlgebra(names=names, table=_least_relabeling(alg.table, orders),
+                         one=n - 1, zero=0)
 
 
-def canonical_key(alg: FiniteAlgebra) -> tuple:
-    form = canonical_form(alg)
-    return form.table
+def canonical_key(alg: FiniteAlgebra, orders=None) -> tuple:
+    """The canonical form's table, or the least relabeled table over the
+    given orders (each lists the old elements in their new index order).
+
+    With a group of orders, equal keys mean the two tables are related by
+    a member of that group; enumeration passes the relabelings that commute
+    with a fixed negation.
+    """
+    if orders is None:
+        return canonical_form(alg).table
+    return _least_relabeling(alg.table, orders)
 
 
 # -- six-element forbidden subalgebra ----------------------------------------

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from iomlat.algebras import load_algtab
+from iomlat.algebras import FiniteAlgebra, load_algtab
 from iomlat.ortho import load_ortlat
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -22,6 +22,20 @@ def load_alg(name: str):
 
 def load_lat(name: str):
     return load_ortlat(FIXTURES / f"{name}.olt")
+
+
+def relabeled(alg, perm):
+    """The algebra with element a moved to index perm[a]; zero, one and the
+    names move with their elements."""
+    n = alg.size
+    old = [0] * n
+    for a, new in enumerate(perm):
+        old[new] = a
+    table = tuple(
+        tuple(perm[alg.table[old[i]][old[j]]] for j in range(n)) for i in range(n)
+    )
+    names = tuple(alg.names[old[i]] for i in range(n))
+    return FiniteAlgebra(names=names, table=table, one=perm[alg.one], zero=perm[alg.zero])
 
 
 @pytest.fixture(scope="session")

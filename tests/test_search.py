@@ -1,4 +1,8 @@
+import functools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iomlat import catalog, structure, terms
 from iomlat.axioms import classify
@@ -9,7 +13,11 @@ from iomlat.modelsearch import (
     count_models,
     enumerate_models,
     find_counterexample,
+    _centralizer,
+    _representative_involutions,
 )
+
+from conftest import relabeled
 
 
 def _keys(algs):
@@ -36,6 +44,11 @@ IOML_COUNTS = {2: 1, 3: 0, 4: 1, 5: 0, 6: 1, 7: 0, 8: 2}
 def test_ioml_counts_with_regression_values_past_five():
     for size, expected in IOML_COUNTS.items():
         assert count_models(size, "ioml") == expected, size
+
+
+def test_ioml_counts_past_the_default_cap():
+    assert count_models(9, "ioml", max_size=9) == 0
+    assert count_models(10, "ioml", max_size=10) == 2
 
 
 def test_size_six_lattice_class_is_exactly_mo2():
@@ -76,10 +89,57 @@ def test_dedup_invariant():
     assert len(without) >= len(with_iso)
 
 
-def test_orderly_flag_gives_the_same_models():
-    base = EnumerationTask(size=5, klass="invbe", modulo_iso=True)
-    orderly = EnumerationTask(size=5, klass="invbe", modulo_iso=True, orderly=True)
-    assert [a.table for a in enumerate_models(base)] == [a.table for a in enumerate_models(orderly)]
+ROUTE_CASES = (
+    [("invbe", n) for n in range(2, 7)]
+    + [("implinvbe", n) for n in range(2, 7)]
+    + [(k, n) for k in ("ioml", "iboolean") for n in range(2, 9)]
+)
+
+
+@pytest.mark.parametrize("klass,size", ROUTE_CASES)
+def test_representative_route_matches_labeled_route(klass, size):
+    # modulo isomorphism the search runs one involution per conjugacy class
+    # and dedups over its centralizer; the labeled route runs them all
+    iso = EnumerationTask(size=size, klass=klass, modulo_iso=True)
+    labeled = EnumerationTask(size=size, klass=klass, modulo_iso=False)
+    assert [a.table for a in enumerate_models(iso)] == _keys(enumerate_models(labeled))
+
+
+@pytest.mark.parametrize("size", range(2, 11))
+def test_one_representative_involution_per_fixed_point_count(size):
+    reps = _representative_involutions(size)
+    counts = [sum(s[a] == a for a in range(1, size - 1)) for s in reps]
+    assert sorted(counts) == list(range(size % 2, size - 1, 2))
+    for sigma in reps:
+        assert all(sigma[sigma[a]] == a for a in range(size))
+        assert (sigma[0], sigma[size - 1]) == (size - 1, 0)
+
+
+@pytest.mark.parametrize("size", (6, 8, 10))
+def test_centralizer_is_the_whole_commuting_group(size):
+    for sigma in _representative_involutions(size):
+        fixed = sum(sigma[a] == a for a in range(1, size - 1))
+        pairs = (size - 2 - fixed) // 2
+        group = _centralizer(sigma)
+        order = math.factorial(fixed) * math.factorial(pairs) * 2 ** pairs
+        assert len(group) == len(set(group)) == order
+        for g in group:
+            assert (g[0], g[size - 1]) == (0, size - 1)
+            assert all(g[sigma[a]] == sigma[g[a]] for a in range(size))
+
+
+@functools.lru_cache(maxsize=None)
+def _emitted(klass, size):
+    return tuple(enumerate_models(EnumerationTask(size=size, klass=klass)))
+
+
+@pytest.mark.parametrize("klass,size", (("invbe", 5), ("implinvbe", 6)))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_canonical_form_undoes_any_relabeling(klass, size, data):
+    for alg in _emitted(klass, size):
+        perm = data.draw(st.permutations(range(size)))
+        assert structure.canonical_form(relabeled(alg, perm)).table == alg.table
 
 
 def test_cell_order_does_not_change_the_model_set():

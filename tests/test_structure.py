@@ -7,7 +7,7 @@ from iomlat.algebras import FiniteAlgebra
 from iomlat.errors import InputError
 from iomlat.structure import ClassWarning
 
-from conftest import IOML_FIXTURES, load_alg
+from conftest import IOML_FIXTURES, load_alg, relabeled
 
 LUKA4 = FiniteAlgebra(
     names=("0", "a", "b", "1"),
@@ -146,6 +146,14 @@ def test_non_isomorphic_pairs(o6, mo2, b4):
     assert structure.is_isomorphic(b4, LUKA4) is None
 
 
+@pytest.mark.parametrize("name", ("o6", "mo2"))
+def test_every_relabeling_is_isomorphic(name):
+    # zero and one move too, so colour ids must compare across the two tables
+    alg = load_alg(name)
+    for perm in itertools.permutations(range(alg.size)):
+        assert structure.is_isomorphic(alg, relabeled(alg, perm)) is not None, perm
+
+
 def test_canonical_form_idempotent(o6, mo2, b8):
     for alg in (o6, mo2, b8):
         form = structure.canonical_form(alg)
@@ -169,6 +177,13 @@ def test_benzene_detected_in_itself(o6):
     elems, mapping = found
     assert elems == tuple(range(6))
     assert sorted(mapping.values()) == list(range(6))
+
+
+def test_benzene_detected_in_every_relabeled_copy(o6):
+    for perm in itertools.permutations(range(6)):
+        found = structure.find_o6_subalgebra(relabeled(o6, perm))
+        assert found is not None, perm
+        assert found[0] == tuple(range(6))
 
 
 def test_no_benzene_in_orthomodular_fixtures():
