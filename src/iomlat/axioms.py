@@ -173,7 +173,10 @@ def classify(alg: FiniteAlgebra, fast_idis: bool = False) -> ClassificationRepor
 
 @functools.lru_cache(maxsize=None)
 def _idis_parsed():
-    return terms.parse_statement(IDIS1_SOURCE), terms.parse_statement(IDIS2_SOURCE)
+    eqs = terms.parse_statement(IDIS1_SOURCE), terms.parse_statement(IDIS2_SOURCE)
+    # distributive_triple feeds both the same (x, y, z) tuple
+    assert all(eq.vars == ("x", "y", "z") for eq in eqs)
+    return eqs
 
 
 def idiv_pair(alg: FiniteAlgebra, x: int, y: int) -> bool:
@@ -194,7 +197,6 @@ def idis2_triple(alg: FiniteAlgebra, x: int, y: int, z: int) -> bool:
 
 def distributive_triple(alg: FiniteAlgebra, x: int, y: int, z: int) -> bool:
     """Both identities under all six orderings of (x, y, z): 12 instances."""
-    for p in itertools.permutations((x, y, z)):
-        if not idis1_triple(alg, *p) or not idis2_triple(alg, *p):
-            return False
-    return True
+    alg._check(x, y, z)
+    checks = [terms.checker(eq, alg) for eq in _idis_parsed()]
+    return all(check(p) for p in itertools.permutations((x, y, z)) for check in checks)

@@ -72,6 +72,7 @@ class BankEntry:
     procedure: str | None = None
     class_level: bool = False
     expect_refuted_on: str | None = None
+    note: str | None = None
 
     def __post_init__(self):
         assert self.required in _TIERS
@@ -231,9 +232,14 @@ ENTRIES: tuple[BankEntry, ...] = (
     BankEntry("C4.17", "pairwise comparable triples are distributive", "ioml",
               procedure="comparable_triples"),
     BankEntry("P4.18", "divisibility at a common element gives the first distributivity form",
-              "implinvbe",
+              "ioml",
               statements=("z -> (z -> x)' = z -> x', z -> (z -> y)' = z -> y'"
-                          " |- ((x' -> y) -> z')' = (x -> z') -> (y -> z')'",)),
+                          " |- ((x' -> y) -> z')' = (x -> z') -> (y -> z')'",),
+              note="tiered ioml, as Section 4's distributivity results (T4.16, C4.17, "
+                   "T4.19) are: its hypotheses say z commutes with x and with y only "
+                   "through P4.9, which needs orthomodularity. Off that class the "
+                   "literal form is false: it fails on the implicative involutive, "
+                   "non-orthomodular model `implinvbe` n=8 #2 at z=b x=e y=f."),
     BankEntry("T4.19", "distributive exactly when divisible", "ioml",
               agreement=(_axiom("idis", Axiom.IDIS), _axiom("idiv", Axiom.IDIV))),
     # -- center, complements, commutor -------------------------------------
@@ -684,6 +690,8 @@ def index_text() -> str:
             out.append(f"- procedure: {e.procedure}")
         if e.expect_refuted_on:
             out.append(f"- literal form refuted on fixture: {e.expect_refuted_on}")
+        if e.note:
+            out.append(f"- note: {e.note}")
         out.append("")
     return "\n".join(out)
 

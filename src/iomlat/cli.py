@@ -8,6 +8,7 @@ statement, unknown flag value).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -119,7 +120,6 @@ def _cmd_enumerate(args) -> int:
         size=args.size,
         klass=args.klass,
         modulo_iso=args.modulo_iso,
-        cell_order=args.cell_order,
         max_size=args.max_size,
     )
     count = 0
@@ -284,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", help="directory for emitted algtab files")
     p.add_argument("--max-size", type=int, default=modelsearch.DEFAULT_MAX_SIZE,
                    help="hard size cap (default 8); raise explicitly for bigger runs")
-    p.add_argument("--cell-order", choices=("row-major", "column-major"),
-                   default="row-major")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("center", help="elements commuting with everything")
@@ -327,8 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parse_args leaves it unchanged, and each parser
+    # is a cyclic object graph that only a full garbage collection frees, so
+    # building one per call piles them up under repeated in-process calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

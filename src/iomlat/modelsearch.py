@@ -55,6 +55,8 @@ class EnumerationTask:
     size: int
     klass: str = "implinvbe"
     modulo_iso: bool = True
+    # the order the search fills cells in; the model set does not depend on
+    # it, which a test checks through the column-major order
     cell_order: str = "row-major"
     max_size: int = DEFAULT_MAX_SIZE
 

@@ -20,13 +20,27 @@ Statements:
 
 `C` is reserved for the commutation relation and cannot be used as a
 variable name.  Statement files carry one statement per line, with '#'
-starting a comment.
+starting a comment.  Terms nest at most `MAX_DEPTH` levels; deeper input is
+a `ParseError` with the byte offset where the bound was crossed.
+
+Evaluation has one path.  `_Builder` turns a term, atom or statement into
+nested closures over the algebra's raw implication table, its constants and
+its negation column (`a -> 0` for each `a`), read once per build.  A built
+closure takes an environment tuple, one element index per variable in a
+fixed order, and does nothing but tuple lookups and calls to its children:
+no type dispatch, no per-operation range check and no dict per assignment.
+`holds` builds its statement once and lets `itertools.product` sweep every
+assignment in lexicographic order, making the witness dict only on failure.
+`evaluate` and `atom_holds` build the same closures for a single
+caller-supplied assignment, which they range-check once up front, since a
+negative index into a tuple would silently wrap.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .algebras import FiniteAlgebra, RelationKind
@@ -199,12 +213,31 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # -- parser ------------------------------------------------------------------
 
+# Deepest nesting a statement may have: the height of each term's syntax
+# tree (operators on its longest root-to-leaf path) and, separately, the
+# depth of its parentheses.  The parser recurses four frames per parenthesis
+# and one per arrow; `format_term`, the evaluator's builder and the closures
+# it builds recurse one frame per level of height.  The bound keeps all of
+# them far inside Python's default recursion limit of 1000, and a printed
+# term (one parenthesis per binary node) parses back within it.
+MAX_DEPTH = 100
+
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    The term methods return the term with its height (see `MAX_DEPTH`).
+    The parser recurses only into parentheses and arrow right-hand sides;
+    `parens` and `arrows` count those open at the current token, so input
+    nested too deeply is refused before the recursion gets deep.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.parens = 0
+        self.arrows = 0  # each open arrow is an operator above the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -216,67 +249,82 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def _bounded(height: int, off: int) -> int:
+        if height > MAX_DEPTH:
+            raise ParseError(f"term nested deeper than {MAX_DEPTH} levels", off)
+        return height
+
     # term := junction ('->' term)?          right-associative
-    def term(self) -> Term:
-        lhs = self.junction()
+    def term(self) -> tuple[Term, int]:
+        lhs, hl = self.junction()
         if self.peek()[0] == "imp":
-            self.take()
-            return Imp(lhs, self.term())
-        return lhs
+            off = self.take()[2]
+            self.arrows = self._bounded(self.arrows + 1, off)
+            rhs, hr = self.term()
+            self.arrows -= 1
+            return Imp(lhs, rhs), self._bounded(max(hl, hr) + 1, off)
+        return lhs, hl
 
     # junction := postfix (('&' postfix)* | ('|' postfix)*)
-    def junction(self) -> Term:
-        lhs = self.postfix()
+    def junction(self) -> tuple[Term, int]:
+        lhs, height = self.postfix()
         op = self.peek()[0]
         if op not in ("cap", "cup"):
-            return lhs
+            return lhs, height
         while True:
             kind, lexeme, off = self.peek()
             if kind not in ("cap", "cup"):
-                return lhs
+                return lhs, height
             if kind != op:
                 raise ParseError("mixing '&' and '|' requires parentheses", off)
             self.take()
-            rhs = self.postfix()
+            rhs, hr = self.postfix()
             lhs = Cap(lhs, rhs) if kind == "cap" else Cup(lhs, rhs)
+            height = self._bounded(max(height, hr) + 1, off)
 
-    def postfix(self) -> Term:
-        t = self.atom()
+    def postfix(self) -> tuple[Term, int]:
+        t, height = self.atom()
         while self.peek()[0] == "prime":
-            self.take()
+            off = self.take()[2]
             t = Neg(t)
-        return t
+            height = self._bounded(height + 1, off)
+        return t, height
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         kind, lexeme, off = self.peek()
         if kind == "const":
             self.take()
-            return Const(int(lexeme))
+            return Const(int(lexeme)), 0
         if kind == "ident":
             self.take()
-            return Var(lexeme)
+            return Var(lexeme), 0
         if kind == "commutes":
             raise ParseError("'C' is reserved for the commutation relation", off)
         if kind == "lparen":
             self.take()
-            t = self.term()
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH} levels", off)
+            t, height = self.term()
+            self.parens -= 1
             self.take("rparen")
-            return t
+            return t, height
         raise ParseError(f"expected a term, found {lexeme or 'end of input'!r}", off)
 
     # element := term (('=' | rel | 'C') term)?
     def element(self):
-        lhs = self.term()
+        lhs = self.term()[0]
         kind, lexeme, off = self.peek()
         if kind == "eq":
             self.take()
-            return Equation(lhs, self.term())
+            return Equation(lhs, self.term()[0])
         if kind == "rel":
             self.take()
-            return Relation(_REL_TOKENS[lexeme], lhs, self.term())
+            return Relation(_REL_TOKENS[lexeme], lhs, self.term()[0])
         if kind == "commutes":
             self.take()
-            return Relation(RelationKind.COMMUTES, lhs, self.term())
+            return Relation(RelationKind.COMMUTES, lhs, self.term()[0])
         return lhs
 
     def statement(self):
@@ -369,37 +417,119 @@ def format_statement(stmt) -> str:
 # -- evaluation --------------------------------------------------------------
 
 
+class _Builder:
+    """Turns terms and atoms into closures over one algebra's raw table.
+
+    A built term is a function from an environment tuple (one element index
+    per variable, in the order given to the builder) to an element index;
+    a built atom returns a bool.  The negation column `neg[a] = a -> 0` is
+    read once, so every derived operation is a few tuple lookups.
+    """
+
+    def __init__(self, alg: FiniteAlgebra, vars: tuple[str, ...]):
+        self.table = alg.table
+        self.zero, self.one = alg.zero, alg.one
+        self.neg = tuple(row[alg.zero] for row in alg.table)
+        self.slot = {v: i for i, v in enumerate(vars)}
+
+    def term(self, t: Term):
+        table, neg = self.table, self.neg
+        if isinstance(t, Var):
+            return itemgetter(self.slot[t.name])
+        if isinstance(t, Const):
+            c = self.one if t.value == 1 else self.zero
+            return lambda env: c
+        if isinstance(t, Neg):
+            f = self.term(t.arg)
+            return lambda env: neg[f(env)]
+        f, g = self.term(t.lhs), self.term(t.rhs)
+        if isinstance(t, Imp):
+            return lambda env: table[f(env)][g(env)]
+        if isinstance(t, Cup):
+            def cup(env):
+                b = g(env)
+                return table[table[f(env)][b]][b]
+            return cup
+
+        def cap(env):
+            nb = neg[g(env)]
+            return neg[table[table[neg[f(env)]][nb]][nb]]
+        return cap
+
+    def atom(self, atom: Atom):
+        table, neg, one = self.table, self.neg, self.one
+        f, g = self.term(atom.lhs), self.term(atom.rhs)
+        if isinstance(atom, Equation):
+            return lambda env: f(env) == g(env)
+        kind = atom.kind
+        if kind is RelationKind.LE:
+            return lambda env: table[f(env)][g(env)] == one
+        if kind is RelationKind.LE_Q:
+            def le_q(env):
+                a = f(env)
+                nb = neg[g(env)]
+                return neg[table[table[neg[a]][nb]][nb]] == a
+            return le_q
+        if kind is RelationKind.LE_L:
+            def le_l(env):
+                a = f(env)
+                return neg[table[a][neg[g(env)]]] == a
+            return le_l
+
+        def commutes(env):
+            a, b = f(env), g(env)
+            return table[table[a][neg[b]]][neg[table[a][b]]] == a
+        return commutes
+
+    def statement(self, stmt: Statement):
+        if isinstance(stmt, Equation):
+            return self.atom(stmt)
+        hypotheses = tuple(self.atom(h) for h in stmt.hypotheses)
+        conclusion = self.atom(stmt.conclusion)
+
+        def quasi(env):
+            for h in hypotheses:
+                if not h(env):
+                    return True
+            return conclusion(env)
+        return quasi
+
+
+def _env_tuple(vars: tuple[str, ...], alg: FiniteAlgebra, env: dict[str, int]) -> tuple[int, ...]:
+    """The caller's assignment as a tuple in `vars` order, checked once.
+
+    A negative index into a tuple would wrap silently, so the range is
+    checked here rather than left to the table lookups.
+    """
+    values = []
+    for v in vars:
+        try:
+            a = env[v]
+        except KeyError:
+            raise InputError(f"unbound variable {v!r}") from None
+        if not 0 <= a < alg.size:
+            raise InputError(f"element index {a} out of range 0..{alg.size - 1}")
+        values.append(a)
+    return tuple(values)
+
+
 def evaluate(t: Term, alg: FiniteAlgebra, env: dict[str, int]) -> int:
     """Value of `t` in `alg` under the assignment `env` (variable -> index)."""
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise InputError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, Const):
-        return alg.one if t.value == 1 else alg.zero
-    if isinstance(t, Neg):
-        return alg.neg(evaluate(t.arg, alg, env))
-    a = evaluate(t.lhs, alg, env)
-    b = evaluate(t.rhs, alg, env)
-    if isinstance(t, Imp):
-        return alg.imp(a, b)
-    if isinstance(t, Cap):
-        return alg.cap(a, b)
-    return alg.cup(a, b)
+    vars = _var_order([t])
+    return _Builder(alg, vars).term(t)(_env_tuple(vars, alg, env))
 
 
 def atom_holds(atom: Atom, alg: FiniteAlgebra, env: dict[str, int]) -> bool:
-    a = evaluate(atom.lhs, alg, env)
-    b = evaluate(atom.rhs, alg, env)
-    if isinstance(atom, Equation):
-        return a == b
-    return {
-        RelationKind.LE: alg.le,
-        RelationKind.LE_Q: alg.le_q,
-        RelationKind.LE_L: alg.le_l,
-        RelationKind.COMMUTES: alg.commutes,
-    }[atom.kind](a, b)
+    """Does one equation or relation atom hold under the assignment `env`?"""
+    vars = atom.vars if isinstance(atom, Equation) else _var_order([atom.lhs, atom.rhs])
+    return _Builder(alg, vars).atom(atom)(_env_tuple(vars, alg, env))
+
+
+def checker(stmt: Statement, alg: FiniteAlgebra):
+    """The statement as a closure over `alg`: it takes a tuple of element
+    indices in `stmt.vars` order and says whether the statement holds there.
+    The tuple is not range-checked."""
+    return _Builder(alg, stmt.vars).statement(stmt)
 
 
 @dataclass(frozen=True)
@@ -411,31 +541,22 @@ class HoldsResult:
         return self.ok
 
 
-def assignments(vars: tuple[str, ...], size: int) -> Iterator[dict[str, int]]:
-    """All assignments in lexicographic order (vars as declared, indices ascending)."""
-    for values in itertools.product(range(size), repeat=len(vars)):
-        yield dict(zip(vars, values))
-
-
 def holds(stmt: Statement | str, alg: FiniteAlgebra) -> HoldsResult:
     """Check a statement under every assignment of its variables.
 
-    On failure the witness is the lexicographically first failing assignment.
+    On failure the witness is the lexicographically first failing assignment
+    (variables in `stmt.vars` order, element indices ascending).
     """
     if isinstance(stmt, str):
         stmt = parse_statement(stmt)
-    if isinstance(stmt, Equation):
-        for env in assignments(stmt.vars, alg.size):
-            if not atom_holds(stmt, alg, env):
-                return HoldsResult(False, env)
-        return HoldsResult(True)
-    if not isinstance(stmt, QuasiIdentity):
+    if not isinstance(stmt, (Equation, QuasiIdentity)):
         raise InputError("holds() wants an equation or quasi-identity, not a bare term")
-    for env in assignments(stmt.vars, alg.size):
-        if all(atom_holds(h, alg, env) for h in stmt.hypotheses):
-            if not atom_holds(stmt.conclusion, alg, env):
-                return HoldsResult(False, env)
-    return HoldsResult(True)
+    check = checker(stmt, alg)
+    sweep = itertools.product(range(alg.size), repeat=len(stmt.vars))
+    failing = next(itertools.filterfalse(check, sweep), None)
+    if failing is None:
+        return HoldsResult(True)
+    return HoldsResult(False, dict(zip(stmt.vars, failing)))
 
 
 def format_witness(env: dict[str, int], alg: FiniteAlgebra, vars: tuple[str, ...] | None = None) -> str:

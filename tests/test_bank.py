@@ -1,4 +1,5 @@
 from iomlat import bank, terms
+from iomlat.axioms import classify
 from iomlat.bank import Status
 
 
@@ -93,6 +94,22 @@ def test_enumerated_run_over_the_implicative_class():
     assert agg["P5.9.3"].status is Status.FLAG
     none_skipped = [r.entry_id for r in report.aggregated if r.status is Status.SKIP]
     assert none_skipped == []
+
+
+def test_p418_literal_form_fails_off_the_lattice_class():
+    # the reason P4.18 is tiered ioml: on the implicative involutive model
+    # n=8 #2, which is not orthomodular, its literal form is false
+    from iomlat.modelsearch import EnumerationTask, enumerate_models
+
+    model = list(enumerate_models(EnumerationTask(size=8, klass="implinvbe")))[2]
+    report = classify(model)
+    assert report.is_implicative_involutive_be and not report.is_ioml
+    entry = next(e for e in bank.ENTRIES if e.entry_id == "P4.18")
+    assert entry.required == "ioml"
+    stmt = terms.parse_statement(entry.statements[0])
+    res = terms.holds(stmt, model)
+    assert terms.format_witness(res.witness, model, stmt.vars) == "z=b x=e y=f"
+    assert _by_id(bank.run_bank(model, report), "P4.18").status is Status.SKIP
 
 
 def test_enumerated_run_over_the_lattice_class_is_clean():

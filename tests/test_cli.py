@@ -1,4 +1,7 @@
+import pytest
+
 from iomlat.cli import main
+from iomlat.terms import MAX_DEPTH
 
 from conftest import fixture_path
 
@@ -69,6 +72,27 @@ def test_eval_parse_error_exit(capsys):
     assert "parentheses" in err
 
 
+# statements that hold on b2 at the nesting bound, one per shape of nesting
+_DEEP = {
+    "parentheses": lambda d: "(" * d + "x" + ")" * d + " = x",
+    "arrows": lambda d: "x" + " -> x" * d + " = 1",
+    "primes": lambda d: "x" + "'" * d + " = x" + "'" * (d % 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_eval_nesting_bound_exit(shape, tmp_path, capsys):
+    stmts = tmp_path / "deep.txt"
+    stmts.write_text(_DEEP[shape](MAX_DEPTH) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "eval", B2, "--file", str(stmts))
+    assert code == 0 and out.rstrip().endswith(" HOLDS")
+    for depth in (MAX_DEPTH + 1, 300, 1000):
+        stmts.write_text(_DEEP[shape](depth) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", B2, "--file", str(stmts))
+        assert code == 2 and out == ""
+        assert f"nested deeper than {MAX_DEPTH} levels (byte " in err
+
+
 def test_enumerate_counts(capsys):
     code, out, _ = run(capsys, "enumerate", "--size", "6", "--class", "ioml",
                        "--modulo-iso")
@@ -80,6 +104,12 @@ def test_enumerate_respects_the_size_cap(capsys):
     code, _, err = run(capsys, "enumerate", "--size", "9", "--class", "ioml")
     assert code == 2
     assert "outside" in err
+
+
+def test_enumerate_has_no_cell_order_option(capsys):
+    code, _, err = run(capsys, "enumerate", "--size", "4", "--class", "ioml",
+                       "--cell-order", "column-major")
+    assert code == 2 and "--cell-order" in err
 
 
 def test_enumerate_emits_files(tmp_path, capsys):
@@ -171,6 +201,16 @@ def test_report_enumerated(capsys):
     assert code == 0
     last = out.splitlines()[-1]
     assert last.startswith("models=2 ")
+
+
+def test_report_enumerated_implicative_class_at_size_eight(capsys):
+    # P4.18 is tiered ioml; at the implicative tier it would FAIL on n=8 #2
+    code, out, _ = run(capsys, "report", "--enumerate", "--class", "implinvbe",
+                       "--max-size", "8")
+    assert code == 0
+    lines = out.splitlines()
+    assert "P4.18 PASS" in lines
+    assert lines[-1] == "models=9 total=85 pass=84 fail=0 skip=0 flag=1"
 
 
 def test_report_enumerated_lattice_class(capsys):

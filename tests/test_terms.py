@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from iomlat import terms
+from iomlat import bank, terms
+from iomlat.axioms import AXIOM_SOURCES
 from iomlat.errors import InputError, ParseError
 
 import oracle_eval
-from conftest import ALG_FIXTURES, load_alg
+from conftest import ALG_FIXTURES, load_alg, relabeled
 
 
 def test_parse_nested_arrow():
@@ -87,6 +88,49 @@ def test_error_offsets_are_bytes():
 def test_unbound_variable(b2):
     with pytest.raises(InputError):
         terms.evaluate(terms.parse_term("x -> y"), b2, {"x": 0})
+
+
+@pytest.mark.parametrize("env", [{"x": 0}, {"x": 0, "y": -1}, {"x": 0, "y": 2}])
+@pytest.mark.parametrize("src", ["x -> y", "y", "x = y", "x C y"])
+def test_a_bad_assignment_is_an_input_error(b2, env, src):
+    # unbound variables and indices outside 0..n-1, including a negative
+    # index that a tuple lookup would otherwise wrap
+    parsed = terms.parse(src)
+    with pytest.raises(InputError):
+        if isinstance(parsed, terms.QuasiIdentity):
+            terms.atom_holds(parsed.conclusion, b2, env)
+        elif isinstance(parsed, terms.Equation):
+            terms.atom_holds(parsed, b2, env)
+        else:
+            terms.evaluate(parsed, b2, env)
+
+
+_DEEP = {
+    "parentheses": lambda d: "(" * d + "x" + ")" * d,
+    "arrows": lambda d: "x" + " -> x" * d,
+    "primes": lambda d: "x" + "'" * d,
+    "meets": lambda d: "x" + " & x" * d,
+}
+# byte offset of the token that crosses the bound at depth MAX_DEPTH + 1
+_DEEP_OFFSET = {
+    "parentheses": terms.MAX_DEPTH,
+    "arrows": 2 + 5 * terms.MAX_DEPTH,
+    "primes": 1 + terms.MAX_DEPTH,
+    "meets": 2 + 4 * terms.MAX_DEPTH,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_nesting_bound(shape, b2):
+    make = _DEEP[shape]
+    t = terms.parse_term(make(terms.MAX_DEPTH))
+    assert terms.parse_term(terms.format_term(t)) == t
+    terms.evaluate(t, b2, {"x": b2.one})
+    for depth in (terms.MAX_DEPTH + 1, 1000, 3000):
+        with pytest.raises(ParseError) as err:
+            terms.parse_statement(make(depth) + " = x")
+        assert err.value.offset == _DEEP_OFFSET[shape]
+        assert f"nested deeper than {terms.MAX_DEPTH} levels" in str(err.value)
 
 
 # -- printing -----------------------------------------------------------------
@@ -214,6 +258,39 @@ def test_holds_agrees_with_brute_force(name, src):
     alg = load_alg(name)
     stmt = terms.parse_statement(src)
     assert terms.holds(stmt, alg).ok == oracle_eval.brute_holds(stmt, alg)
+
+
+# every axiom and bank statement, once each
+_SWEPT = tuple(dict.fromkeys(
+    [terms.parse_statement(src) for sources in AXIOM_SOURCES.values() for src in sources]
+    + [terms.parse_statement(src)
+       for _, src in terms.iter_statement_lines("\n".join(bank.statement_lines()))]
+))
+
+
+def _oracle_fails_at(stmt, alg, env):
+    """The oracle's verdict at one assignment, from its atom evaluator."""
+    if isinstance(stmt, terms.Equation):
+        return not oracle_eval._atom(stmt, alg, env)
+    return (all(oracle_eval._atom(h, alg, env) for h in stmt.hypotheses)
+            and not oracle_eval._atom(stmt.conclusion, alg, env))
+
+
+@pytest.mark.parametrize("name", ALG_FIXTURES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_holds_matches_the_oracle_under_relabeling(name, data):
+    base = load_alg(name)
+    # a whole-carrier relabeling: zero and one move too
+    alg = relabeled(base, data.draw(st.permutations(range(base.size))))
+    for stmt in _SWEPT:
+        res = terms.holds(stmt, alg)
+        assert res.ok == oracle_eval.brute_holds(stmt, alg), terms.format_statement(stmt)
+        if not res.ok:
+            assert list(res.witness) == list(stmt.vars)
+            assert _oracle_fails_at(stmt, alg, res.witness)
+            for env in _assignments_before(res.witness, stmt.vars, alg.size):
+                assert not _oracle_fails_at(stmt, alg, env)
 
 
 def test_statement_file_lines():
