@@ -93,11 +93,24 @@ def check_axiom(alg: FiniteAlgebra, axiom: Axiom) -> CheckResult:
     return CheckResult(axiom, True)
 
 
-def _check_axiom_fast_idis(alg: FiniteAlgebra) -> CheckResult:
-    # shortcut sanctioned only behind the explicit fast flag: on the lattice
-    # class, distributivity is equivalent to the divisibility law
-    proxy = check_axiom(alg, Axiom.IDIV)
-    return CheckResult(Axiom.IDIS, proxy.passed, proxy.witness, proxy.witness_vars)
+# The class chain by label: each class is exactly its defining axioms,
+# written in `Axiom` order.  Every class membership test reads this table.
+_BE = (Axiom.BE1, Axiom.BE2, Axiom.BE3, Axiom.BE4)
+_IMPLICATIVE_INVOLUTIVE = _BE + (Axiom.BOUNDED, Axiom.INVOLUTIVE, Axiom.IMPL)
+CLASS_AXIOMS: dict[str, tuple[Axiom, ...]] = {
+    "BE": _BE,
+    "BOUNDED_BE": _BE + (Axiom.BOUNDED,),
+    "INVOLUTIVE_BE": _BE + (Axiom.BOUNDED, Axiom.INVOLUTIVE),
+    "IMPLICATIVE_INVOLUTIVE_BE": _IMPLICATIVE_INVOLUTIVE,
+    "IOML": _IMPLICATIVE_INVOLUTIVE + (Axiom.IOM,),
+    "IMPLICATIVE_BOOLEAN": _IMPLICATIVE_INVOLUTIVE + (Axiom.IDIV,),
+}
+
+
+def failed_axioms(alg: FiniteAlgebra, label: str) -> tuple[Axiom, ...]:
+    """The defining axioms of class `label` that `alg` breaks, in `Axiom`
+    order; empty exactly when `alg` belongs to the class."""
+    return tuple(a for a in CLASS_AXIOMS[label] if not check_axiom(alg, a).passed)
 
 
 @dataclass(frozen=True)
@@ -108,55 +121,40 @@ class ClassificationReport:
     results: dict[Axiom, CheckResult]
     degenerate: bool
 
+    def member(self, label: str) -> bool:
+        return all(self.results[a].passed for a in CLASS_AXIOMS[label])
+
     @property
     def is_be(self) -> bool:
-        return all(self.results[a].passed for a in (Axiom.BE1, Axiom.BE2, Axiom.BE3, Axiom.BE4))
+        return self.member("BE")
 
     @property
     def is_bounded_be(self) -> bool:
-        return self.is_be and self.results[Axiom.BOUNDED].passed
+        return self.member("BOUNDED_BE")
 
     @property
     def is_involutive_be(self) -> bool:
-        return self.is_bounded_be and self.results[Axiom.INVOLUTIVE].passed
+        return self.member("INVOLUTIVE_BE")
 
     @property
     def is_implicative_involutive_be(self) -> bool:
-        return self.is_involutive_be and self.results[Axiom.IMPL].passed
+        return self.member("IMPLICATIVE_INVOLUTIVE_BE")
 
     @property
     def is_ioml(self) -> bool:
-        return self.is_implicative_involutive_be and self.results[Axiom.IOM].passed
+        return self.member("IOML")
 
     @property
     def is_implicative_boolean(self) -> bool:
-        return self.is_implicative_involutive_be and self.results[Axiom.IDIV].passed
+        return self.member("IMPLICATIVE_BOOLEAN")
 
     def labels(self) -> tuple[str, ...]:
-        pairs = (
-            ("BE", self.is_be),
-            ("BOUNDED_BE", self.is_bounded_be),
-            ("INVOLUTIVE_BE", self.is_involutive_be),
-            ("IMPLICATIVE_INVOLUTIVE_BE", self.is_implicative_involutive_be),
-            ("IOML", self.is_ioml),
-            ("IMPLICATIVE_BOOLEAN", self.is_implicative_boolean),
-        )
-        return tuple(name for name, earned in pairs if earned)
+        return tuple(label for label in CLASS_AXIOMS if self.member(label))
 
 
-def classify(alg: FiniteAlgebra, fast_idis: bool = False) -> ClassificationReport:
-    """Check every axiom family and derive the class labels.
-
-    With `fast_idis` the distributivity verdict is proxied by the
-    divisibility law instead of the direct two-identity scan; the default
-    never assumes that equivalence.
-    """
-    results = {}
-    for axiom in Axiom:
-        if axiom is Axiom.IDIS and fast_idis:
-            results[axiom] = _check_axiom_fast_idis(alg)
-        else:
-            results[axiom] = check_axiom(alg, axiom)
+def classify(alg: FiniteAlgebra) -> ClassificationReport:
+    """Check every axiom family and derive the class labels."""
+    results = {axiom: check_axiom(alg, axiom) for axiom in Axiom}
     report = ClassificationReport(alg, results, degenerate=alg.is_degenerate)
     if report.is_implicative_involutive_be:
         forms = [results[a].passed for a in (Axiom.IOM, Axiom.IOM_P, Axiom.IOM_PP)]

@@ -32,17 +32,14 @@ class Status(enum.Enum):
     FLAG = "FLAG"
 
 
-_TIERS = ("be", "bounded", "invbe", "implinvbe", "ioml")
-
-
-def tier_holds(report: ClassificationReport, tier: str) -> bool:
-    return {
-        "be": report.is_be,
-        "bounded": report.is_bounded_be,
-        "invbe": report.is_involutive_be,
-        "implinvbe": report.is_implicative_involutive_be,
-        "ioml": report.is_ioml,
-    }[tier]
+# bank tier -> its label in `axioms.CLASS_AXIOMS`
+_TIERS = {
+    "be": "BE",
+    "bounded": "BOUNDED_BE",
+    "invbe": "INVOLUTIVE_BE",
+    "implinvbe": "IMPLICATIVE_INVOLUTIVE_BE",
+    "ioml": "IOML",
+}
 
 
 @dataclass(frozen=True)
@@ -540,7 +537,7 @@ def _eval_component(alg: FiniteAlgebra, report, comp: Component):
 def _eval_entry(alg: FiniteAlgebra, report, entry: BankEntry) -> EntryResult:
     if entry.class_level:
         return EntryResult(entry.entry_id, Status.SKIP, "class-level check; run over an enumeration")
-    if not tier_holds(report, entry.required):
+    if not report.member(_TIERS[entry.required]):
         return EntryResult(entry.entry_id, Status.SKIP, f"needs class {entry.required}")
     if entry.procedure is not None:
         status, detail = _PROCEDURES[entry.procedure](alg, report)

@@ -79,7 +79,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     alg = load_algtab(args.file)
-    report = classify(alg, fast_idis=args.fast_idis)
+    report = classify(alg)
     for axiom in Axiom:
         result = report.results[axiom]
         if result.passed:
@@ -267,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full axiom scan and class labels")
     p.add_argument("file")
-    p.add_argument("--fast-idis", action="store_true",
-                   help="proxy distributivity by the divisibility law")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("eval", help="evaluate statements on a table")

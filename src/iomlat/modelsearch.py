@@ -5,7 +5,11 @@ index 0 and one at index n-1, chooses the negation column as an involution
 pairing 0 with 1 (fixed points on middle elements are permitted: where they
 are impossible it is the axioms that kill them, not fiat), propagates the
 cells forced by the axioms, and backtracks over the remaining cells with
-incremental violation checks.  `brute_force_models` is the unpruned
+incremental violation checks.  The pruning is exact: an axiom instance is
+checked when the last of its cells is filled, so every leaf is a model and
+is kept as it is.  `enumerate_models` still checks each emitted model against
+the class's defining axioms (`axioms.CLASS_AXIOMS`), so a pruning fault
+surfaces as a `ConsistencyError`.  `brute_force_models` is the unpruned
 cross-check: it enumerates every completion of the definitionally forced
 frame and post-filters with hand-coded axiom loops, sharing nothing with the
 backtracker but the labeling convention.
@@ -38,16 +42,16 @@ from .algebras import FiniteAlgebra
 from .errors import ConsistencyError, InputError
 from . import axioms, structure, terms
 
-CLASSES = ("be", "invbe", "implinvbe", "ioml", "iboolean")
-DEFAULT_MAX_SIZE = 8
-
-_CLASS_LABEL_CHECK = {
-    "be": lambda r: r.is_bounded_be,
-    "invbe": lambda r: r.is_involutive_be,
-    "implinvbe": lambda r: r.is_implicative_involutive_be,
-    "ioml": lambda r: r.is_ioml,
-    "iboolean": lambda r: r.is_implicative_boolean,
+# search class name -> its label in `axioms.CLASS_AXIOMS`; the search frame
+# fixes zero, so even `be` searches bounded BE algebras
+CLASSES = {
+    "be": "BOUNDED_BE",
+    "invbe": "INVOLUTIVE_BE",
+    "implinvbe": "IMPLICATIVE_INVOLUTIVE_BE",
+    "ioml": "IOML",
+    "iboolean": "IMPLICATIVE_BOOLEAN",
 }
+DEFAULT_MAX_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -133,12 +137,16 @@ def _centralizer(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 class _Searcher:
+    """Backtracking over the cells of one class, pruned by its axioms."""
+
     def __init__(self, n: int, klass: str, cell_order: str):
         self.n = n
-        self.klass = klass
         self.cell_order = cell_order
-        self.involutive = klass != "be"
-        self.implicative = klass in ("implinvbe", "ioml", "iboolean")
+        defining = axioms.CLASS_AXIOMS[CLASSES[klass]]
+        self.involutive = axioms.Axiom.INVOLUTIVE in defining
+        self.implicative = axioms.Axiom.IMPL in defining
+        self.iom = axioms.Axiom.IOM in defining
+        self.idiv = axioms.Axiom.IDIV in defining
 
     # -- forced frame ------------------------------------------------------
 
@@ -220,12 +228,10 @@ class _Searcher:
             for y in range(n):
                 if rowb[y] == a and v != b:
                     return True
-        if self.klass == "ioml":
-            if self._iom_partial_violation(t, sigma):
-                return True
-        if self.klass == "iboolean":
-            if self._idiv_partial_violation(t, sigma):
-                return True
+        if self.iom and self._iom_partial_violation(t, sigma):
+            return True
+        if self.idiv and self._idiv_partial_violation(t, sigma):
+            return True
         return False
 
     def _iom_partial_violation(self, t, sigma):
@@ -258,48 +264,6 @@ class _Searcher:
                     return True
         return False
 
-    # -- full checks at the leaves --------------------------------------------
-
-    def _complete_ok(self, t, sigma):
-        n = self.n
-        one = n - 1
-        for a in range(n):
-            if t[a][a] != one or t[a][one] != one or t[one][a] != a or t[0][a] != one:
-                return False
-        for x in range(n):
-            tx = t[x]
-            for y in range(n):
-                ty = t[y]
-                for z in range(n):
-                    if tx[ty[z]] != ty[tx[z]]:
-                        return False
-        if self.involutive:
-            for a in range(n):
-                if t[t[a][0]][0] != a:
-                    return False
-        if self.implicative:
-            for x in range(n):
-                for y in range(n):
-                    if t[t[x][y]][x] != x:
-                        return False
-        if self.klass == "ioml":
-            neg = [t[a][0] for a in range(n)]
-
-            def cap(u, w):
-                return neg[t[t[neg[u]][neg[w]]][neg[w]]]
-
-            for x in range(n):
-                for y in range(n):
-                    if cap(x, t[y][x]) != x:
-                        return False
-        if self.klass == "iboolean":
-            neg = [t[a][0] for a in range(n)]
-            for x in range(n):
-                for y in range(n):
-                    if t[x][neg[t[x][y]]] != t[x][neg[y]]:
-                        return False
-        return True
-
     # -- driver ---------------------------------------------------------------
 
     def run(self, sigma) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -323,8 +287,7 @@ class _Searcher:
     def _assign(self, t, free, idx, sigma):
         n = self.n
         if idx == len(free):
-            if self._complete_ok(t, sigma):
-                yield tuple(tuple(row) for row in t)
+            yield tuple(tuple(row) for row in t)
             return
         a, b = free[idx]
         if t[a][b] is not None:
@@ -367,8 +330,9 @@ def enumerate_models(task: EnumerationTask) -> Iterator[FiniteAlgebra]:
 
     Output is sorted by canonical form ascending; with `modulo_iso` exactly
     one representative per isomorphism class survives, in its canonical
-    labeling.  Every emitted model is re-classified against the requested
-    class before being yielded.
+    labeling.  Every emitted model is checked against the class's defining
+    axioms before being yielded; a model outside the class raises
+    `ConsistencyError`.
     """
     n = task.size
     searcher = _Searcher(n, task.klass, task.cell_order)
@@ -396,11 +360,13 @@ def enumerate_models(task: EnumerationTask) -> Iterator[FiniteAlgebra]:
             canonical = key if group is None else structure.canonical_form(alg).table
             found.append((canonical, canonical, _table_to_algebra(canonical, n)))
     found.sort(key=lambda item: (item[0], item[1]))
-    checker = _CLASS_LABEL_CHECK[task.klass]
+    label = CLASSES[task.klass]
     for _, _, alg in found:
-        if not checker(axioms.classify(alg)):
+        failing = axioms.failed_axioms(alg, label)
+        if failing:
             raise ConsistencyError(
-                f"search emitted a table outside class {task.klass!r}"
+                f"search emitted a table outside class {task.klass!r}; failing: "
+                + ", ".join(a.name for a in failing)
             )
         yield alg
 

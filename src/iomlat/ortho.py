@@ -135,16 +135,11 @@ def to_ortholattice(alg: FiniteAlgebra) -> OrthoLattice:
     The input class is validated first; conversion of anything weaker is
     refused because the maps are only inverse on that class.
     """
-    report = axioms.classify(alg)
-    if not report.is_implicative_involutive_be:
-        failing = [a.name for a in axioms.Axiom
-                   if a in (axioms.Axiom.BE1, axioms.Axiom.BE2, axioms.Axiom.BE3,
-                            axioms.Axiom.BE4, axioms.Axiom.BOUNDED,
-                            axioms.Axiom.INVOLUTIVE, axioms.Axiom.IMPL)
-                   and not report.results[a].passed]
+    failing = axioms.failed_axioms(alg, "IMPLICATIVE_INVOLUTIVE_BE")
+    if failing:
         raise InputError(
             "conversion wants an implicative involutive table; failing: "
-            + ", ".join(failing)
+            + ", ".join(a.name for a in failing)
         )
     n = alg.size
     meet = tuple(tuple(alg.neg(alg.imp(a, alg.neg(b))) for b in range(n)) for a in range(n))

@@ -22,7 +22,7 @@ class ClassWarning(UserWarning):
 
 
 def _warn_if_not_ioml(alg: FiniteAlgebra, what: str, check_class: bool):
-    if check_class and not axioms.classify(alg).is_ioml:
+    if check_class and axioms.failed_axioms(alg, "IOML"):
         warnings.warn(
             f"{what} computed on a non-orthomodular table; definitional only",
             ClassWarning,
@@ -81,8 +81,8 @@ def complement_witness(alg: FiniteAlgebra, x: int, z: int,
     table or a bug, never a property of the input class.
     """
     alg._check(x, z)
-    is_ioml = axioms.classify(alg).is_ioml if check_class else True
-    if check_class and not is_ioml:
+    is_ioml = not check_class or not axioms.failed_axioms(alg, "IOML")
+    if not is_ioml:
         warnings.warn(
             "complement construction on a non-orthomodular table; "
             "membership is not guaranteed",

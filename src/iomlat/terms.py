@@ -145,21 +145,21 @@ def _var_order(terms) -> tuple[str, ...]:
 _REL_TOKENS = {"<=": RelationKind.LE, "<=q": RelationKind.LE_Q, "<=l": RelationKind.LE_L}
 
 
-def _byte_offset(text: str, i: int) -> int:
-    return len(text[:i].encode("utf-8"))
-
-
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Produce (kind, lexeme, byte offset) triples."""
     tokens = []
     i = 0
     n = len(text)
+    # UTF-8 bytes beyond one per character so far: every token is ASCII, so
+    # only skipped whitespace can be wider before the first error
+    wide = 0
     while i < n:
         c = text[i]
         if c.isspace():
+            wide += len(c.encode("utf-8")) - 1
             i += 1
             continue
-        off = _byte_offset(text, i)
+        off = i + wide
         if c in "()'&,=":
             kinds = {"(": "lparen", ")": "rparen", "'": "prime", "&": "cap",
                      ",": "comma", "=": "eq"}
@@ -207,7 +207,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             i = j
             continue
         raise ParseError(f"unexpected character {c!r}", off)
-    tokens.append(("eof", "", _byte_offset(text, n)))
+    tokens.append(("eof", "", n + wide))
     return tokens
 
 

@@ -1,17 +1,21 @@
 import itertools
+import random
 
 from iomlat.axioms import (
+    CLASS_AXIOMS,
     Axiom,
     check_axiom,
     classify,
     distributive_triple,
+    failed_axioms,
     idis1_triple,
     idis2_triple,
     idiv_pair,
 )
 from iomlat.algebras import FiniteAlgebra
+from iomlat.modelsearch import EnumerationTask, enumerate_models
 
-from conftest import IOML_FIXTURES, load_alg
+from conftest import ALG_FIXTURES, IOML_FIXTURES, load_alg, relabeled
 
 
 def test_o6_passes_the_implicative_involutive_suite(o6):
@@ -42,6 +46,33 @@ def test_labels(o6, mo2, b4, l3):
         "BE", "BOUNDED_BE", "INVOLUTIVE_BE", "IMPLICATIVE_INVOLUTIVE_BE",
         "IOML", "IMPLICATIVE_BOOLEAN")
     assert classify(l3).labels() == ("BE", "BOUNDED_BE", "INVOLUTIVE_BE")
+
+
+def _membership_cases():
+    cases = [FiniteAlgebra(names=("e",), table=((0,),), one=0, zero=0)]
+    for name in ALG_FIXTURES:
+        alg = load_alg(name)
+        rng = random.Random(name)
+        cases.append(alg)
+        cases += [relabeled(alg, rng.sample(range(alg.size), alg.size)) for _ in range(4)]
+    # be stops at 5: its size-6 enumeration takes minutes
+    for klass, top in (("be", 5), ("invbe", 6), ("implinvbe", 6), ("ioml", 6), ("iboolean", 6)):
+        for n in range(2, top + 1):
+            cases += enumerate_models(EnumerationTask(size=n, klass=klass))
+    return cases
+
+
+def test_class_axioms_agree_with_classify():
+    # fixtures, relabelings and enumerated models, members of some classes
+    # and not of the stricter ones
+    for alg in _membership_cases():
+        rep = classify(alg)
+        labels = rep.labels()
+        for label, defining in CLASS_AXIOMS.items():
+            failing = failed_axioms(alg, label)
+            assert (not failing) == (label in labels), (label, alg.table)
+            assert failing == tuple(a for a in Axiom
+                                    if a in defining and not rep.results[a].passed)
 
 
 def test_degenerate_flagged():
@@ -92,12 +123,11 @@ def test_mo2_is_not_distributive(mo2):
     assert not check_axiom(mo2, Axiom.IDIV).passed
 
 
-def test_fast_idis_proxy_agrees_on_orthomodular_fixtures():
+def test_distributive_exactly_when_divisible_on_orthomodular_fixtures():
+    # T4.19: on the lattice class IDIS and IDIV are equivalent
     for name in IOML_FIXTURES:
-        alg = load_alg(name)
-        direct = classify(alg).results[Axiom.IDIS].passed
-        proxied = classify(alg, fast_idis=True).results[Axiom.IDIS].passed
-        assert direct == proxied
+        rep = classify(load_alg(name))
+        assert rep.results[Axiom.IDIS].passed == rep.results[Axiom.IDIV].passed, name
 
 
 def test_orthomodularity_forms_agree_on_fixtures(o6, mo2, b8):

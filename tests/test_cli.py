@@ -112,6 +112,11 @@ def test_enumerate_has_no_cell_order_option(capsys):
     assert code == 2 and "--cell-order" in err
 
 
+def test_classify_has_no_fast_idis_option(capsys):
+    code, _, err = run(capsys, "classify", O6, "--fast-idis")
+    assert code == 2 and "--fast-idis" in err
+
+
 def test_enumerate_emits_files(tmp_path, capsys):
     out_dir = tmp_path / "models"
     code, out, _ = run(capsys, "enumerate", "--size", "4", "--class", "invbe",

@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iomlat import catalog, structure, terms
+from iomlat import catalog, modelsearch, structure, terms
 from iomlat.axioms import classify
-from iomlat.errors import InputError
+from iomlat.cli import main
+from iomlat.errors import ConsistencyError, InputError
 from iomlat.modelsearch import (
     EnumerationTask,
     brute_force_models,
@@ -158,6 +159,25 @@ def test_enumeration_is_deterministic():
 def test_emitted_models_are_classified_in_class():
     for alg in enumerate_models(EnumerationTask(size=4, klass="invbe")):
         assert classify(alg).is_involutive_be
+
+
+# b4 in the search labeling with a -> b = 1: still a bounded involutive BE
+# table, but (b -> a) -> b = a breaks implicativity
+_NOT_IMPLICATIVE = ((3, 3, 3, 3), (2, 3, 3, 3), (1, 1, 3, 3), (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("modulo_iso", (True, False))
+def test_emission_check_rejects_a_table_outside_the_class(monkeypatch, capsys, modulo_iso):
+    monkeypatch.setattr(modelsearch._Searcher, "run", lambda self, sigma: iter([_NOT_IMPLICATIVE]))
+    task = EnumerationTask(size=4, klass="implinvbe", modulo_iso=modulo_iso)
+    with pytest.raises(ConsistencyError, match="failing: IMPL$"):
+        list(enumerate_models(task))
+    argv = ["enumerate", "--size", "4", "--class", "implinvbe"]
+    assert main(argv + ["--modulo-iso"] * modulo_iso) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: search emitted a table outside class 'implinvbe'; "
+                            "failing: IMPL\n")
 
 
 def test_task_validation():

@@ -85,6 +85,15 @@ def test_error_offsets_are_bytes():
     assert err.value.offset == 3
 
 
+def test_error_offsets_count_wide_whitespace():
+    with pytest.raises(ParseError) as err:
+        terms.parse("x\u00a0-> $")
+    assert err.value.offset == 6
+    with pytest.raises(ParseError) as err:
+        terms.parse("x\u3000=")
+    assert err.value.offset == 5
+
+
 def test_unbound_variable(b2):
     with pytest.raises(InputError):
         terms.evaluate(terms.parse_term("x -> y"), b2, {"x": 0})
