@@ -149,22 +149,37 @@ class FiniteAlgebra:
                 raise InputError(f"element index {a} out of range 0..{len(self.names) - 1}")
 
     # -- operations -----------------------------------------------------
+    #
+    # Each public operation checks its arguments and then runs the unchecked
+    # body below it.  Loops over valid indices call the bodies directly.
 
     def imp(self, a: int, b: int) -> int:
         self._check(a, b)
+        return self._imp(a, b)
+
+    def _imp(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def neg(self, a: int) -> int:
         self._check(a)
+        return self._neg(a)
+
+    def _neg(self, a: int) -> int:
         return self.table[a][self.zero]
 
     def cup(self, a: int, b: int) -> int:
         self._check(a, b)
+        return self._cup(a, b)
+
+    def _cup(self, a: int, b: int) -> int:
         t = self.table
         return t[t[a][b]][b]
 
     def cap(self, a: int, b: int) -> int:
         self._check(a, b)
+        return self._cap(a, b)
+
+    def _cap(self, a: int, b: int) -> int:
         t = self.table
         z = self.zero
         na, nb = t[a][z], t[b][z]
@@ -185,6 +200,9 @@ class FiniteAlgebra:
 
     def commutes(self, a: int, b: int) -> bool:
         self._check(a, b)
+        return self._commutes(a, b)
+
+    def _commutes(self, a: int, b: int) -> bool:
         t = self.table
         z = self.zero
         return t[t[a][t[b][z]]][t[t[a][b]][z]] == a

@@ -309,7 +309,7 @@ def _fmt_elems(alg: FiniteAlgebra, **kw) -> str:
 
 def _proc_commuting_triple_distributivity(alg: FiniteAlgebra, report):
     n = alg.size
-    com = [[alg.commutes(a, b) for b in range(n)] for a in range(n)]
+    com = [[alg._commutes(a, b) for b in range(n)] for a in range(n)]
     for x, y, z in itertools.product(range(n), repeat=3):
         if com[z][x] and com[z][y] and not distributive_triple(alg, x, y, z):
             return Status.FAIL, _fmt_elems(alg, x=x, y=y, z=z)
@@ -341,10 +341,10 @@ def _proc_center_subalgebra(alg: FiniteAlgebra, report):
     if alg.zero not in cent or alg.one not in cent:
         return Status.FAIL, "center misses a bound"
     for a in cent:
-        if alg.neg(a) not in cent:
+        if alg._neg(a) not in cent:
             return Status.FAIL, f"center not closed under negation at {alg.names[a]}"
         for b in cent:
-            if alg.imp(a, b) not in cent:
+            if alg._imp(a, b) not in cent:
                 return Status.FAIL, f"center not closed under -> at {_fmt_elems(alg, a=a, b=b)}"
     sub = structure.restrict(alg, cent)
     sub_report = classify(sub)
@@ -370,18 +370,20 @@ def _nonempty_subsets(n: int):
 
 
 def _proc_commutor_sublattice(alg: FiniteAlgebra, report):
+    # every subset and every commutor member is an index of alg, so the
+    # loops run the unchecked operations
     for subset in _nonempty_subsets(alg.size):
         com = structure.commutor(alg, subset, check_class=False)
         if alg.zero not in com or alg.one not in com:
             return Status.FAIL, f"commutor of {{{_subset_names(alg, subset)}}} misses a bound"
         for a in com:
-            if alg.neg(a) not in com:
+            if alg._neg(a) not in com:
                 return Status.FAIL, (
                     f"commutor of {{{_subset_names(alg, subset)}}} not closed "
                     f"under negation at {alg.names[a]}"
                 )
             for b in com:
-                for v in (alg.imp(a, b), alg.cap(a, b), alg.cup(a, b)):
+                for v in (alg._imp(a, b), alg._cap(a, b), alg._cup(a, b)):
                     if v not in com:
                         return Status.FAIL, (
                             f"commutor of {{{_subset_names(alg, subset)}}} not closed "

@@ -14,22 +14,27 @@ cross-check: it enumerates every completion of the definitionally forced
 frame and post-filters with hand-coded axiom loops, sharing nothing with the
 backtracker but the labeling convention.
 
-Symmetry is broken before the search, not after it.  An isomorphism fixes
-zero and one, so it carries x' = x -> 0 to the negation of the image: it
-conjugates one negation into the other.  Two involutions that swap 0 and
-n-1 and fix the same number of middle elements are conjugate under a
-relabeling of the middles, so modulo isomorphism the search runs one
-representative involution per fixed-point count (4 of 76 at n=8).  Models
-with different representatives are never isomorphic, and two models with
-the same negation sigma are isomorphic exactly when a relabeling in the
-centralizer C(sigma) maps one onto the other.  Raw tables are therefore
-deduplicated by their least relabeling over C(sigma) (48 relabelings at
-n=8, 384 at n=10, against (n-2)! for the canonical form), and the global
-canonical form is computed once per surviving class, so the emitted tables
-and their order do not depend on these choices.  The base class `be` has
-no negation to fix: its group is every relabeling of the middles and its
-key is the canonical form itself.  Without `modulo_iso` the search runs
-every involution, which is the labeled enumeration.
+Symmetry is broken before the search and inside it, not after it.  An
+isomorphism fixes zero and one, so it carries x' = x -> 0 to the negation of
+the image: it conjugates one negation into the other.  Two involutions that
+swap 0 and n-1 and fix the same number of middle elements are conjugate
+under a relabeling of the middles, so modulo isomorphism the search runs
+one representative involution per fixed-point count (4 of 76 at n=8).
+Models with different representatives are never isomorphic, and two models
+with the same negation sigma are isomorphic exactly when a relabeling in
+the centralizer C(sigma) maps one onto the other (48 relabelings at n=8,
+384 at n=10, against (n-2)! for the canonical form).  The base class `be`
+has no negation to fix: its group is every relabeling of the middles.
+Given that group, the search is orderly (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): it cuts a partial table as soon as a
+relabeling in the group makes its decided row-major prefix strictly
+smaller, which on a full table means "least in its orbit", so each class
+reaches exactly one leaf and no raw table is deduplicated after the
+search.  A `be` leaf is then the canonical form itself; an involutive leaf
+is brought to the global canonical form once, so the emitted tables and
+their order do not depend on these choices.  Without `modulo_iso` the
+search runs every involution with no group, which is the labeled
+enumeration.
 """
 
 from __future__ import annotations
@@ -118,8 +123,9 @@ def _representative_involutions(n: int) -> list[tuple[int, ...]]:
 
 def _centralizer(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The relabelings fixing 0 and n-1 that commute with sigma, as orders
-    for `structure.canonical_key`: they permute the fixed middles among
-    themselves and the 2-cycles among themselves, each either way round."""
+    (each lists the old elements in their new index order): they permute
+    the fixed middles among themselves and the 2-cycles among themselves,
+    each either way round."""
     n = len(sigma)
     fixed = [a for a in range(1, n - 1) if sigma[a] == a]
     pairs = [(a, sigma[a]) for a in range(1, n - 1) if a < sigma[a]]
@@ -136,8 +142,17 @@ def _centralizer(sigma: tuple[int, ...]) -> list[tuple[int, ...]]:
     return orders
 
 
+def _symmetry_group(n: int, sigma) -> list[tuple[int, ...]]:
+    """The relabelings that map the tables searched under sigma onto each
+    other: C(sigma), or every relabeling of the middles when sigma is None."""
+    if sigma is None:
+        return [(0,) + perm + (n - 1,) for perm in itertools.permutations(range(1, n - 1))]
+    return _centralizer(sigma)
+
+
 class _Searcher:
-    """Backtracking over the cells of one class, pruned by its axioms."""
+    """Backtracking over the cells of one class, pruned by its axioms and,
+    given a symmetry group, by the orderly check."""
 
     def __init__(self, n: int, klass: str, cell_order: str):
         self.n = n
@@ -266,8 +281,12 @@ class _Searcher:
 
     # -- driver ---------------------------------------------------------------
 
-    def run(self, sigma) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Every table whose negation column is sigma (None: unconstrained)."""
+    def run(self, sigma, group=None) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Every table whose negation column is sigma (None: unconstrained).
+
+        Given a group of relabelings (orders as in `_centralizer`), only the
+        tables that are least in their orbit under the group are yielded.
+        """
         n = self.n
         t = self._init_table(sigma)
         if t is None:
@@ -282,18 +301,57 @@ class _Searcher:
                 if mirror == (a, b) or (a, b) < mirror:
                     kept.append((a, b))
             free = kept
-        yield from self._assign(t, free, 0, sigma)
+        relabelings = []
+        for order in group or ():
+            if order != tuple(range(n)):
+                to_new = {None: None}
+                for new, old in enumerate(order):
+                    to_new[old] = new
+                relabelings.append((order, to_new.__getitem__))
+        checks = set()
+        if relabelings:
+            # the orderly check runs at each row boundary of the cell list
+            # and at the leaf
+            checks = {idx for idx in range(1, len(free)) if free[idx][0] != free[idx - 1][0]}
+            checks.add(len(free))
+        yield from self._assign(t, free, 0, sigma, relabelings, checks)
 
-    def _assign(self, t, free, idx, sigma):
+    def _relabeling_is_smaller(self, t, relabelings):
+        """Does a relabeling make the decided row-major prefix of t smaller?
+
+        The relabeled cell (i, j) is to_new[t[order[i]][order[j]]]; the
+        comparison stops at the first cell undecided on either side, so a
+        cut holds for every completion of t.  Rows 0 and n-1 are fixed by
+        the frame and by every relabeling, so they are skipped.
+        """
+        for order, relabel in relabelings:
+            for i in range(1, self.n - 1):
+                mine = t[i]
+                source = t[order[i]]
+                row = [relabel(source[o]) for o in order]
+                if None in row or None in mine:
+                    for x, y in zip(row, mine):
+                        if x is None or y is None:
+                            break
+                        if x != y:
+                            if x < y:
+                                return True
+                            break
+                    break
+                if row != mine:
+                    if row < mine:
+                        return True
+                    break
+        return False
+
+    def _assign(self, t, free, idx, sigma, relabelings, checks):
         n = self.n
+        if idx in checks and self._relabeling_is_smaller(t, relabelings):
+            return
         if idx == len(free):
             yield tuple(tuple(row) for row in t)
             return
         a, b = free[idx]
-        if t[a][b] is not None:
-            # filled by the mirror of an earlier cell
-            yield from self._assign(t, free, idx + 1, sigma)
-            return
         mirror = None
         if sigma is not None:
             m = (sigma[b], sigma[a])
@@ -315,7 +373,7 @@ class _Searcher:
             if ok and placed_mirror and self._violates(t, mirror[0], mirror[1], sigma):
                 ok = False
             if ok:
-                yield from self._assign(t, free, idx + 1, sigma)
+                yield from self._assign(t, free, idx + 1, sigma, relabelings, checks)
             if placed_mirror:
                 t[mirror[0]][mirror[1]] = None
             t[a][b] = None
@@ -344,24 +402,22 @@ def enumerate_models(task: EnumerationTask) -> Iterator[FiniteAlgebra]:
         sigmas = _involutions(n)
     found = []
     for sigma in sigmas:
-        group = _centralizer(sigma) if task.modulo_iso and sigma is not None else None
-        seen = set()
-        for table in searcher.run(sigma):
-            alg = _table_to_algebra(table, n)
+        group = _symmetry_group(n, sigma) if task.modulo_iso else None
+        for table in searcher.run(sigma, group):
             if not task.modulo_iso:
-                found.append((structure.canonical_key(alg), alg.table, alg))
+                found.append((structure.canonical_key(_table_to_algebra(table, n)), table))
                 continue
-            key = structure.canonical_key(alg, group)
-            if key in seen:
-                continue
-            seen.add(key)
-            # emit the canonical labeling so the representative does not
-            # depend on the representative involution or the cell schedule
-            canonical = key if group is None else structure.canonical_form(alg).table
-            found.append((canonical, canonical, _table_to_algebra(canonical, n)))
-    found.sort(key=lambda item: (item[0], item[1]))
+            # a `be` leaf is least over every relabeling of the middles, so
+            # it is the canonical form; an involutive leaf is least only over
+            # C(sigma), and the canonical labeling makes the representative
+            # independent of sigma and of the cell schedule
+            if sigma is not None:
+                table = structure.canonical_form(_table_to_algebra(table, n)).table
+            found.append((table, table))
+    found.sort()
     label = CLASSES[task.klass]
-    for _, _, alg in found:
+    for _, table in found:
+        alg = _table_to_algebra(table, n)
         failing = axioms.failed_axioms(alg, label)
         if failing:
             raise ConsistencyError(

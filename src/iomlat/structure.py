@@ -35,7 +35,7 @@ def center(alg: FiniteAlgebra, check_class: bool = True) -> frozenset[int]:
     _warn_if_not_ioml(alg, "center", check_class)
     n = alg.size
     return frozenset(
-        a for a in range(n) if all(alg.commutes(a, b) for b in range(n))
+        a for a in range(n) if all(alg._commutes(a, b) for b in range(n))
     )
 
 
@@ -45,21 +45,20 @@ def commutor(alg: FiniteAlgebra, subset: frozenset[int] | set[int],
     members = frozenset(subset)
     if not members:
         raise InputError("commutor of the empty subset is undefined")
-    for a in members:
-        alg._check(a)
+    alg._check(*members)
     _warn_if_not_ioml(alg, "commutor", check_class)
     return frozenset(
-        x for x in range(alg.size) if all(alg.commutes(x, y) for y in members)
+        x for x in range(alg.size) if all(alg._commutes(x, y) for y in members)
     )
 
 
 def complements(alg: FiniteAlgebra, x: int) -> frozenset[int]:
     """All z with x -> z' = x' -> z = 1; the negation of x is always one."""
     alg._check(x)
-    nx = alg.neg(x)
+    nx = alg._neg(x)
     return frozenset(
         z for z in range(alg.size)
-        if alg.imp(x, alg.neg(z)) == alg.one and alg.imp(nx, z) == alg.one
+        if alg._imp(x, alg._neg(z)) == alg.one and alg._imp(nx, z) == alg.one
     )
 
 
@@ -285,17 +284,9 @@ def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:
                          one=n - 1, zero=0)
 
 
-def canonical_key(alg: FiniteAlgebra, orders=None) -> tuple:
-    """The canonical form's table, or the least relabeled table over the
-    given orders (each lists the old elements in their new index order).
-
-    With a group of orders, equal keys mean the two tables are related by
-    a member of that group; enumeration passes the relabelings that commute
-    with a fixed negation.
-    """
-    if orders is None:
-        return canonical_form(alg).table
-    return _least_relabeling(alg.table, orders)
+def canonical_key(alg: FiniteAlgebra) -> tuple:
+    """The canonical form's table: equal keys mean isomorphic algebras."""
+    return canonical_form(alg).table
 
 
 # -- six-element forbidden subalgebra ----------------------------------------

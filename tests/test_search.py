@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,7 +92,8 @@ def test_dedup_invariant():
 
 
 ROUTE_CASES = (
-    [("invbe", n) for n in range(2, 7)]
+    [("be", n) for n in range(2, 6)]
+    + [("invbe", n) for n in range(2, 7)]
     + [("implinvbe", n) for n in range(2, 7)]
     + [(k, n) for k in ("ioml", "iboolean") for n in range(2, 9)]
 )
@@ -100,7 +102,8 @@ ROUTE_CASES = (
 @pytest.mark.parametrize("klass,size", ROUTE_CASES)
 def test_representative_route_matches_labeled_route(klass, size):
     # modulo isomorphism the search runs one involution per conjugacy class
-    # and dedups over its centralizer; the labeled route runs them all
+    # and keeps the tables least under its centralizer (`be`: under every
+    # relabeling of the middles); the labeled route runs them all
     iso = EnumerationTask(size=size, klass=klass, modulo_iso=True)
     labeled = EnumerationTask(size=size, klass=klass, modulo_iso=False)
     assert [a.table for a in enumerate_models(iso)] == _keys(enumerate_models(labeled))
@@ -134,13 +137,40 @@ def _emitted(klass, size):
     return tuple(enumerate_models(EnumerationTask(size=size, klass=klass)))
 
 
-@pytest.mark.parametrize("klass,size", (("invbe", 5), ("implinvbe", 6)))
+@pytest.mark.parametrize("klass,size", (("be", 4), ("be", 5), ("invbe", 5), ("implinvbe", 6)))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_canonical_form_undoes_any_relabeling(klass, size, data):
+    # one drawn seed relabels every model: be n=5 has 1564 of them, too
+    # many separate draws for one example
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     for alg in _emitted(klass, size):
-        perm = data.draw(st.permutations(range(size)))
+        perm = rng.sample(range(size), size)
         assert structure.canonical_form(relabeled(alg, perm)).table == alg.table
+
+
+SEARCHER_CASES = (
+    [("be", n) for n in range(2, 6)]
+    + [("invbe", n) for n in range(2, 7)]
+    + [(k, n) for k in ("implinvbe", "ioml", "iboolean") for n in range(2, 9)]
+)
+
+
+@pytest.mark.parametrize("klass,size", SEARCHER_CASES)
+def test_orderly_search_keeps_exactly_the_least_tables(klass, size):
+    # the pruned search yields, in order, the distinct least relabelings of
+    # the unpruned search's leaves, whatever order it fills the cells in
+    sigmas = [None] if klass == "be" else _representative_involutions(size)
+    for sigma in sigmas:
+        group = modelsearch._symmetry_group(size, sigma)
+        unpruned = modelsearch._Searcher(size, klass, "row-major").run(sigma)
+        least = sorted(set(structure._least_relabeling(t, group) for t in unpruned))
+        pruned = list(modelsearch._Searcher(size, klass, "row-major").run(sigma, group))
+        assert pruned == least, sigma
+        for table in pruned:
+            assert structure._least_relabeling(table, group) == table
+        cols = modelsearch._Searcher(size, klass, "column-major").run(sigma, group)
+        assert sorted(cols) == least, sigma
 
 
 def test_cell_order_does_not_change_the_model_set():
@@ -168,7 +198,8 @@ _NOT_IMPLICATIVE = ((3, 3, 3, 3), (2, 3, 3, 3), (1, 1, 3, 3), (0, 1, 2, 3))
 
 @pytest.mark.parametrize("modulo_iso", (True, False))
 def test_emission_check_rejects_a_table_outside_the_class(monkeypatch, capsys, modulo_iso):
-    monkeypatch.setattr(modelsearch._Searcher, "run", lambda self, sigma: iter([_NOT_IMPLICATIVE]))
+    monkeypatch.setattr(modelsearch._Searcher, "run",
+                        lambda self, sigma, group: iter([_NOT_IMPLICATIVE]))
     task = EnumerationTask(size=4, klass="implinvbe", modulo_iso=modulo_iso)
     with pytest.raises(ConsistencyError, match="failing: IMPL$"):
         list(enumerate_models(task))
