@@ -23,18 +23,21 @@ one representative involution per fixed-point count (4 of 76 at n=8).
 Models with different representatives are never isomorphic, and two models
 with the same negation sigma are isomorphic exactly when a relabeling in
 the centralizer C(sigma) maps one onto the other (48 relabelings at n=8,
-384 at n=10, against (n-2)! for the canonical form).  The base class `be`
-has no negation to fix: its group is every relabeling of the middles.
-Given that group, the search is orderly (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998): it cuts a partial table as soon as a
-relabeling in the group makes its decided row-major prefix strictly
-smaller, which on a full table means "least in its orbit", so each class
-reaches exactly one leaf and no raw table is deduplicated after the
-search.  A `be` leaf is then the canonical form itself; an involutive leaf
-is brought to the global canonical form once, so the emitted tables and
-their order do not depend on these choices.  Without `modulo_iso` the
-search runs every involution with no group, which is the labeled
-enumeration.
+384 at n=10, against (n-2)! relabelings of the middles).  The base class
+`be` has no negation to fix: its group is every relabeling of the middles.
+A group is built only for a frame the axioms accept; on an implicative
+class every involution with a fixed point is rejected, and at n=12 one such
+frame has a centralizer of 10! relabelings.  Given the group, the search is
+orderly (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998): it cuts a partial table as soon as a relabeling in the group makes
+its decided row-major prefix strictly smaller, which on a full table
+means "least in its orbit", so each class reaches exactly one leaf and no
+raw table is deduplicated after the search.  A `be` leaf is then the
+canonical form itself; an involutive leaf is brought to the global
+canonical form once (`structure.canonical_form`, a branch-and-bound
+canonical labeling), so the emitted tables and their order do not depend
+on these choices.  Without `modulo_iso` the search runs every involution
+with no group, which is the labeled enumeration.
 """
 
 from __future__ import annotations
@@ -402,7 +405,12 @@ def enumerate_models(task: EnumerationTask) -> Iterator[FiniteAlgebra]:
         sigmas = _involutions(n)
     found = []
     for sigma in sigmas:
-        group = _symmetry_group(n, sigma) if task.modulo_iso else None
+        group = None
+        if task.modulo_iso:
+            # a rejected frame can have a huge centralizer (see above)
+            if searcher._init_table(sigma) is None:
+                continue
+            group = _symmetry_group(n, sigma)
         for table in searcher.run(sigma, group):
             if not task.modulo_iso:
                 found.append((structure.canonical_key(_table_to_algebra(table, n)), table))

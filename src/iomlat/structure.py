@@ -1,6 +1,12 @@
 """Structural objects: center, commutor, complement sets, subalgebras,
 isomorphism testing and canonical forms.
 
+One algorithm decides isomorphism: a branch-and-bound search for the least
+relabeled table (`_canonical_labeling`).  `canonical_form` keeps the table,
+and `is_isomorphic` compares two of them and composes the orders that reach
+them.  `_least_relabeling`, the exhaustive sweep over relabelings, is the
+reference the tests hold it to.
+
 Subsets of a carrier are plain frozensets of indices; restriction to a
 closed subset produces a fresh `FiniteAlgebra` with the inherited names.
 """
@@ -137,110 +143,6 @@ def restrict(alg: FiniteAlgebra, subset) -> FiniteAlgebra:
 # -- isomorphism -------------------------------------------------------------
 
 
-def _colors(alg: FiniteAlgebra, rounds: int = 3) -> tuple[int, ...]:
-    """Iterated invariant refinement; equal colors are necessary for any
-    isomorphism to match elements.  Each round's colors are the ranks of the
-    signatures in sorted order, so they compare across algebras."""
-    n = alg.size
-    t = alg.table
-    color = [(a == alg.zero, a == alg.one) for a in range(n)]
-    for _ in range(rounds):
-        sigs = [
-            (
-                color[a],
-                tuple(sorted((color[b], color[t[a][b]], color[t[b][a]]) for b in range(n))),
-            )
-            for a in range(n)
-        ]
-        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        color = [rank[sig] for sig in sigs]
-    return tuple(color)
-
-
-def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[int, int] | None:
-    """A bijection preserving ->, one and zero, or None.
-
-    Backtracks over color-compatible assignments, with forced extensions
-    from already-mapped table entries.
-    """
-    n = a.size
-    if n != b.size:
-        return None
-    ca, cb = _colors(a), _colors(b)
-    if sorted(ca) != sorted(cb):
-        return None
-    ta, tb = a.table, b.table
-
-    mapping: dict[int, int] = {}
-    used: dict[int, int] = {}
-
-    def extend(pairs):
-        """Map each pair, forcing consequences; return the pairs actually
-        added, or None on conflict (after undoing nothing)."""
-        added = []
-        queue = list(pairs)
-        while queue:
-            x, y = queue.pop()
-            if x in mapping:
-                if mapping[x] != y:
-                    _undo(added)
-                    return None
-                continue
-            if y in used or ca[x] != cb[y]:
-                _undo(added)
-                return None
-            mapping[x] = y
-            used[y] = x
-            added.append(x)
-            for u in list(mapping):
-                for p, q in ((x, u), (u, x)):
-                    img = tb[mapping[p]][mapping[q]]
-                    src = ta[p][q]
-                    if src in mapping:
-                        if mapping[src] != img:
-                            _undo(added)
-                            return None
-                    else:
-                        queue.append((src, img))
-        return added
-
-    def _undo(added):
-        for x in added:
-            used.pop(mapping.pop(x))
-
-    def search(order_pos):
-        if len(mapping) == n:
-            return True
-        while order_pos < len(order) and order[order_pos] in mapping:
-            order_pos += 1
-        x = order[order_pos]
-        for y in range(n):
-            if y not in used and cb[y] == ca[x]:
-                added = extend([(x, y)])
-                if added is not None:
-                    if search(order_pos + 1):
-                        return True
-                    _undo(added)
-        return False
-
-    # constants first, then rarest colors: small branching factors early
-    from collections import Counter
-
-    freq = Counter(ca)
-    order = sorted(range(n), key=lambda x: (x not in (a.zero, a.one), freq[ca[x]], x))
-    seeded = extend([(a.zero, b.zero), (a.one, b.one)])
-    if seeded is None:
-        return None
-    if not search(0):
-        return None
-    result = dict(mapping)
-    for x in range(n):
-        for y in range(n):
-            if result[ta[x][y]] != tb[result[x]][result[y]]:
-                raise ConsistencyError("isomorphism search returned a non-homomorphism")
-    return result
-
-
 def _least_relabeling(table, orders) -> tuple[tuple[int, ...], ...]:
     """The least relabeled table, compared row by row, over `orders`.
 
@@ -270,23 +172,98 @@ def _least_relabeling(table, orders) -> tuple[tuple[int, ...], ...]:
     return tuple(best)
 
 
-def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:
-    """Least relabeling: zero at index 0, one at index n-1, middles permuted
-    to minimize the flattened table.  Two algebras are isomorphic exactly
-    when their canonical forms have equal tables."""
+def _canonical_labeling(alg: FiniteAlgebra):
+    """The least relabeled table and an order reaching it, by branch and bound.
+
+    Least is in `_least_relabeling`'s sense over every order that puts zero
+    first and one last.  The search places the old middles at new positions
+    1, 2, ... depth first.  With k middles placed, each placed row (zero's
+    and the k middles') has a lower bound over every completion: the labels
+    of its placed columns, where a value not yet placed counts as k+1, the
+    least label still free; then the bounds of its unplaced columns sorted
+    ascending, since no arrangement of them is smaller; then its one column.
+    A node whose bound on the placed rows is above the best table found so
+    far is cut, and children are visited in the order of their bounds (see
+    McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic Comput.
+    60, 2014).
+    """
     n = alg.size
+    t, zero, one = alg.table, alg.zero, alg.one
     if n == 1:
-        return FiniteAlgebra(names=("e0",), table=((0,),), one=0, zero=0)
-    middles = [i for i in range(n) if i not in (alg.zero, alg.one)]
-    orders = ((alg.zero,) + perm + (alg.one,) for perm in itertools.permutations(middles))
+        return ((0,),), (zero,)
+    best_table = best_order = None
+
+    def search(placed, rest, label):
+        nonlocal best_table, best_order
+        if not rest:
+            order = placed + [one]
+            table = [tuple([label[t[r][c]] for c in order]) for r in order]
+            if best_table is None or table < best_table:
+                best_table, best_order = table, order
+            return
+        k = len(placed)
+        children = []
+        for m in rest:
+            others = [v for v in rest if v != m]
+            child = label[:]
+            child[m] = k
+            for v in others:
+                child[v] = k + 1
+            cols = placed + [m]
+            bound = [
+                tuple([child[t[r][c]] for c in cols]
+                      + sorted(child[t[r][c]] for c in others) + [child[t[r][one]]])
+                for r in cols
+            ]
+            children.append((bound, m, others, child))
+        children.sort()
+        for bound, m, others, child in children:
+            if best_table is not None and bound > best_table[:k + 1]:
+                break
+            search(placed + [m], others, child)
+
+    label = [1] * n
+    label[zero], label[one] = 0, n - 1
+    search([zero], [i for i in range(n) if i not in (zero, one)], label)
+    return tuple(best_table), tuple(best_order)
+
+
+def canonical_form(alg: FiniteAlgebra) -> FiniteAlgebra:
+    """Least relabeling: zero at index 0, one at index n-1, middles placed
+    to minimize the table compared row by row, found by branch and bound
+    (`_canonical_labeling`).  Two algebras are isomorphic exactly when their
+    canonical forms have equal tables."""
+    n = alg.size
     names = tuple(f"e{i}" for i in range(n))
-    return FiniteAlgebra(names=names, table=_least_relabeling(alg.table, orders),
+    return FiniteAlgebra(names=names, table=_canonical_labeling(alg)[0],
                          one=n - 1, zero=0)
 
 
 def canonical_key(alg: FiniteAlgebra) -> tuple:
     """The canonical form's table: equal keys mean isomorphic algebras."""
     return canonical_form(alg).table
+
+
+def is_isomorphic(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[int, int] | None:
+    """A bijection preserving ->, one and zero, or None.
+
+    Two algebras are isomorphic exactly when their least relabelings are
+    equal; the orders that reach them, composed, are then the bijection.
+    """
+    n = a.size
+    if n != b.size:
+        return None
+    table_a, order_a = _canonical_labeling(a)
+    table_b, order_b = _canonical_labeling(b)
+    if table_a != table_b:
+        return None
+    result = dict(zip(order_a, order_b))
+    ta, tb = a.table, b.table
+    for x in range(n):
+        for y in range(n):
+            if result[ta[x][y]] != tb[result[x]][result[y]]:
+                raise ConsistencyError("isomorphism search returned a non-homomorphism")
+    return result
 
 
 # -- six-element forbidden subalgebra ----------------------------------------

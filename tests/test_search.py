@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -51,6 +52,7 @@ def test_ioml_counts_with_regression_values_past_five():
 def test_ioml_counts_past_the_default_cap():
     assert count_models(9, "ioml", max_size=9) == 0
     assert count_models(10, "ioml", max_size=10) == 2
+    assert count_models(10, "implinvbe", max_size=10) == 15
 
 
 def test_size_six_lattice_class_is_exactly_mo2():
@@ -137,7 +139,8 @@ def _emitted(klass, size):
     return tuple(enumerate_models(EnumerationTask(size=size, klass=klass)))
 
 
-@pytest.mark.parametrize("klass,size", (("be", 4), ("be", 5), ("invbe", 5), ("implinvbe", 6)))
+@pytest.mark.parametrize("klass,size", (("be", 4), ("be", 5), ("invbe", 5), ("implinvbe", 6),
+                                        ("implinvbe", 8), ("ioml", 8)))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_canonical_form_undoes_any_relabeling(klass, size, data):
@@ -154,6 +157,44 @@ SEARCHER_CASES = (
     + [("invbe", n) for n in range(2, 7)]
     + [(k, n) for k in ("implinvbe", "ioml", "iboolean") for n in range(2, 9)]
 )
+
+
+@pytest.mark.parametrize("klass,size", SEARCHER_CASES)
+def test_canonical_labeling_matches_the_exhaustive_sweep(klass, size):
+    # every emitted model and a relabeled copy of it, with 0 and 1 moved
+    rng = random.Random(f"{klass}{size}")
+    for model in _emitted(klass, size):
+        for alg in (model, relabeled(model, rng.sample(range(size), size))):
+            table, order = structure._canonical_labeling(alg)
+            middles = [i for i in range(size) if i not in (alg.zero, alg.one)]
+            orders = ((alg.zero,) + p + (alg.one,) for p in itertools.permutations(middles))
+            assert table == structure._least_relabeling(alg.table, orders)
+            assert structure._least_relabeling(alg.table, [order]) == table
+
+
+@pytest.mark.parametrize("klass,size", [("implinvbe", n) for n in range(2, 9)] + [("invbe", 5)])
+def test_distinct_models_are_not_isomorphic(klass, size):
+    models = _emitted(klass, size)
+    for a, b in itertools.combinations(models, 2):
+        assert structure.is_isomorphic(a, b) is None
+    for a in models:
+        assert structure.is_isomorphic(a, a) is not None
+
+
+def test_groups_are_built_only_for_accepted_frames(monkeypatch):
+    built = []
+
+    def recording(sigma):
+        built.append(sigma)
+        return _centralizer(sigma)
+
+    monkeypatch.setattr(modelsearch, "_centralizer", recording)
+    assert len(list(enumerate_models(EnumerationTask(size=8, klass="implinvbe")))) == 5
+    searcher = modelsearch._Searcher(8, "implinvbe", "row-major")
+    reps = _representative_involutions(8)
+    accepted = [s for s in reps if searcher._init_table(s) is not None]
+    assert built == accepted
+    assert 0 < len(accepted) < len(reps)
 
 
 @pytest.mark.parametrize("klass,size", SEARCHER_CASES)

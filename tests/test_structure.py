@@ -148,10 +148,17 @@ def test_non_isomorphic_pairs(o6, mo2, b4):
 
 @pytest.mark.parametrize("name", ("o6", "mo2"))
 def test_every_relabeling_is_isomorphic(name):
-    # zero and one move too, so colour ids must compare across the two tables
+    # zero and one move too, so the labeling must not assume where they sit;
+    # the mapping must be a bijection preserving ->, 0 and 1
     alg = load_alg(name)
-    for perm in itertools.permutations(range(alg.size)):
-        assert structure.is_isomorphic(alg, relabeled(alg, perm)) is not None, perm
+    n = alg.size
+    for perm in itertools.permutations(range(n)):
+        other = relabeled(alg, perm)
+        iso = structure.is_isomorphic(alg, other)
+        assert sorted(iso) == sorted(iso.values()) == list(range(n)), perm
+        assert (iso[alg.zero], iso[alg.one]) == (other.zero, other.one), perm
+        for x, y in itertools.product(range(n), repeat=2):
+            assert iso[alg.table[x][y]] == other.table[iso[x]][iso[y]], perm
 
 
 def test_canonical_form_idempotent(o6, mo2, b8):
