@@ -64,9 +64,6 @@ AXIOM_SOURCES: dict[Axiom, tuple[str, ...]] = {
     ),
 }
 
-IDIS1_SOURCE = AXIOM_SOURCES[Axiom.IDIS][0]
-IDIS2_SOURCE = AXIOM_SOURCES[Axiom.IDIS][1]
-
 
 @functools.lru_cache(maxsize=None)
 def axiom_statements(axiom: Axiom) -> tuple[terms.Statement, ...]:
@@ -166,35 +163,11 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
     return report
 
 
-# -- pointwise distributivity helpers ----------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _idis_parsed():
-    eqs = terms.parse_statement(IDIS1_SOURCE), terms.parse_statement(IDIS2_SOURCE)
-    # distributive_triple feeds both the same (x, y, z) tuple
-    assert all(eq.vars == ("x", "y", "z") for eq in eqs)
-    return eqs
-
-
-def idiv_pair(alg: FiniteAlgebra, x: int, y: int) -> bool:
-    """Does the divisibility law hold at the single pair (x, y)?"""
-    stmt = axiom_statements(Axiom.IDIV)[0]
-    return terms.atom_holds(stmt, alg, {"x": x, "y": y})
-
-
-def idis1_triple(alg: FiniteAlgebra, x: int, y: int, z: int) -> bool:
-    eq1, _ = _idis_parsed()
-    return terms.atom_holds(eq1, alg, {"x": x, "y": y, "z": z})
-
-
-def idis2_triple(alg: FiniteAlgebra, x: int, y: int, z: int) -> bool:
-    _, eq2 = _idis_parsed()
-    return terms.atom_holds(eq2, alg, {"x": x, "y": y, "z": z})
+# -- pointwise distributivity ------------------------------------------------
 
 
 def distributive_triple(alg: FiniteAlgebra, x: int, y: int, z: int) -> bool:
-    """Both identities under all six orderings of (x, y, z): 12 instances."""
+    """Both IDIS identities under all six orderings of (x, y, z): 12 instances."""
     alg._check(x, y, z)
-    checks = [terms.checker(eq, alg) for eq in _idis_parsed()]
+    checks = [terms.checker(eq, alg) for eq in axiom_statements(Axiom.IDIS)]
     return all(check(p) for p in itertools.permutations((x, y, z)) for check in checks)

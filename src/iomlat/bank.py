@@ -7,6 +7,15 @@ over the structural operations.  `run_bank` evaluates everything applicable
 to one table; `run_bank_enumerated` quantifies the bank over all enumerated
 models of a class and aggregates.
 
+The procedures read relations that `run_bank` builds at most once per table,
+in an object it makes per call: commutation as one bitmask per element,
+from which the center and every subset's commutor are intersections, and
+the two IDIS identities at every ordered triple.  The distributivity entries
+(T4.16, C4.17, R5.3) scan only the triples where `distributive_triple`
+fails, in lexicographic order; the commutor entries (P5.9.1, P5.9.2) check
+each distinct commutor once, at the first subset that has it.  Either way
+the first witness is the one the pointwise sweep would report.
+
 Statuses: PASS, FAIL (with the first witness), SKIP (model outside the
 entry's class tier, or a class-level entry run per-model), and FLAG for the
 one entry whose literal form is known to fail off the Boolean case; FLAG
@@ -18,10 +27,11 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra, RelationKind
-from .axioms import Axiom, ClassificationReport, classify, distributive_triple
+from .axioms import Axiom, ClassificationReport, axiom_statements, classify
 from . import catalog, modelsearch, structure, terms
 
 
@@ -307,37 +317,92 @@ def _fmt_elems(alg: FiniteAlgebra, **kw) -> str:
     return " ".join(f"{k}={alg.names[v]}" for k, v in kw.items())
 
 
-def _proc_commuting_triple_distributivity(alg: FiniteAlgebra, report):
-    n = alg.size
-    com = [[alg._commutes(a, b) for b in range(n)] for a in range(n)]
-    for x, y, z in itertools.product(range(n), repeat=3):
-        if com[z][x] and com[z][y] and not distributive_triple(alg, x, y, z):
+class _Relations:
+    """The relations of one table that the procedures read.
+
+    `run_bank` makes one per call; each relation is built the first time an
+    applicable procedure asks for it and then shared by the others.  Element
+    sets are bitmasks (bit x for element x) until a procedure needs a
+    frozenset, which `_elements` builds the way `structure.commutor` does.
+    """
+
+    def __init__(self, alg: FiniteAlgebra):
+        self.alg = alg
+
+    @functools.cached_property
+    def commutors(self) -> tuple[int, ...]:
+        """C({y}) per element y: bit x is set when x commutes with y."""
+        alg, n = self.alg, self.alg.size
+        return tuple(
+            sum(1 << x for x in range(n) if alg._commutes(x, y)) for y in range(n)
+        )
+
+    @functools.cached_property
+    def center_mask(self) -> int:
+        """The center, which is also the commutor of the whole carrier."""
+        return functools.reduce(operator.and_, self.commutors)
+
+    @functools.cached_property
+    def center(self) -> frozenset[int]:
+        return _elements(self.alg, self.center_mask)
+
+    @functools.cached_property
+    def subset_commutors(self) -> dict[int, int]:
+        """Each distinct commutor C(S), mapped to the first nonempty subset S
+        that has it, both as masks; subsets go in increasing mask order, and
+        C(S) = C(S without s) & C({s}) with s the lowest element of S."""
+        n = self.alg.size
+        single = self.commutors
+        by_subset = [(1 << n) - 1]
+        first: dict[int, int] = {}
+        for subset in range(1, 1 << n):
+            low = subset & -subset
+            com = by_subset[subset ^ low] & single[low.bit_length() - 1]
+            by_subset.append(com)
+            first.setdefault(com, subset)
+        return first
+
+    @functools.cached_property
+    def nondistributive(self) -> tuple[tuple[int, int, int], ...]:
+        """The triples, in lexicographic order, where `distributive_triple`
+        fails: some ordering breaks one of the two IDIS identities."""
+        n = self.alg.size
+        checks = [terms.checker(eq, self.alg) for eq in axiom_statements(Axiom.IDIS)]
+        broken = [t for t in itertools.product(range(n), repeat=3)
+                  if not all(check(t) for check in checks)]
+        return tuple(sorted({p for t in broken for p in itertools.permutations(t)}))
+
+
+def _elements(alg: FiniteAlgebra, mask: int) -> frozenset[int]:
+    return frozenset(x for x in range(alg.size) if mask >> x & 1)
+
+
+def _proc_commuting_triple_distributivity(alg: FiniteAlgebra, report, rel: _Relations):
+    single = rel.commutors
+    for x, y, z in rel.nondistributive:
+        if single[x] >> z & 1 and single[y] >> z & 1:
             return Status.FAIL, _fmt_elems(alg, x=x, y=y, z=z)
     return Status.PASS, ""
 
 
-def _proc_comparable_triples(alg: FiniteAlgebra, report):
-    n = alg.size
+def _proc_comparable_triples(alg: FiniteAlgebra, report, rel: _Relations):
     leq = alg.relation_matrix(RelationKind.LE_Q).bits
-    for x1, x2, y in itertools.product(range(n), repeat=3):
+    for x1, x2, y in rel.nondistributive:
         if (leq[x1][y] or leq[y][x1]) and (leq[x2][y] or leq[y][x2]):
-            if not distributive_triple(alg, x1, x2, y):
-                return Status.FAIL, _fmt_elems(alg, x1=x1, x2=x2, y=y)
+            return Status.FAIL, _fmt_elems(alg, x1=x1, x2=x2, y=y)
     return Status.PASS, ""
 
 
-def _proc_center_triples(alg: FiniteAlgebra, report):
-    cent = structure.center(alg, check_class=False)
-    n = alg.size
-    for x1, x2, y in itertools.product(range(n), repeat=3):
+def _proc_center_triples(alg: FiniteAlgebra, report, rel: _Relations):
+    cent = rel.center
+    for x1, x2, y in rel.nondistributive:
         if (x1 in cent and x2 in cent) or y in cent:
-            if not distributive_triple(alg, x1, x2, y):
-                return Status.FAIL, _fmt_elems(alg, x1=x1, x2=x2, y=y)
+            return Status.FAIL, _fmt_elems(alg, x1=x1, x2=x2, y=y)
     return Status.PASS, ""
 
 
-def _proc_center_subalgebra(alg: FiniteAlgebra, report):
-    cent = structure.center(alg, check_class=False)
+def _proc_center_subalgebra(alg: FiniteAlgebra, report, rel: _Relations):
+    cent = rel.center
     if alg.zero not in cent or alg.one not in cent:
         return Status.FAIL, "center misses a bound"
     for a in cent:
@@ -355,8 +420,8 @@ def _proc_center_subalgebra(alg: FiniteAlgebra, report):
     return Status.PASS, ""
 
 
-def _proc_center_vs_complements(alg: FiniteAlgebra, report):
-    cent = structure.center(alg, check_class=False)
+def _proc_center_vs_complements(alg: FiniteAlgebra, report, rel: _Relations):
+    cent = rel.center
     for x in range(alg.size):
         unique = structure.complements(alg, x) == frozenset((alg.neg(x),))
         if (x in cent) != unique:
@@ -364,16 +429,12 @@ def _proc_center_vs_complements(alg: FiniteAlgebra, report):
     return Status.PASS, ""
 
 
-def _nonempty_subsets(n: int):
-    for bits in range(1, 1 << n):
-        yield frozenset(i for i in range(n) if bits >> i & 1)
-
-
-def _proc_commutor_sublattice(alg: FiniteAlgebra, report):
-    # every subset and every commutor member is an index of alg, so the
-    # loops run the unchecked operations
-    for subset in _nonempty_subsets(alg.size):
-        com = structure.commutor(alg, subset, check_class=False)
+def _proc_commutor_sublattice(alg: FiniteAlgebra, report, rel: _Relations):
+    # every commutor member is an index of alg, so the loops run the
+    # unchecked operations; a commutor shared by several subsets is checked
+    # once, at the first of them, which is where the subset sweep would fail
+    for mask, subset in rel.subset_commutors.items():
+        com = _elements(alg, mask)
         if alg.zero not in com or alg.one not in com:
             return Status.FAIL, f"commutor of {{{_subset_names(alg, subset)}}} misses a bound"
         for a in com:
@@ -392,29 +453,28 @@ def _proc_commutor_sublattice(alg: FiniteAlgebra, report):
     return Status.PASS, ""
 
 
-def _proc_commutor_contains_center(alg: FiniteAlgebra, report):
-    cent = structure.center(alg, check_class=False)
-    for subset in _nonempty_subsets(alg.size):
-        com = structure.commutor(alg, subset, check_class=False)
-        if not cent <= com:
+def _proc_commutor_contains_center(alg: FiniteAlgebra, report, rel: _Relations):
+    cent = rel.center_mask
+    for mask, subset in rel.subset_commutors.items():
+        if cent & ~mask:
             return Status.FAIL, f"center escapes the commutor of {{{_subset_names(alg, subset)}}}"
     return Status.PASS, ""
 
 
-def _proc_commutor_whole_carrier(alg: FiniteAlgebra, report):
-    full = frozenset(range(alg.size))
-    com = structure.commutor(alg, full, check_class=False)
-    if com == full:
+def _proc_commutor_whole_carrier(alg: FiniteAlgebra, report, rel: _Relations):
+    n = alg.size
+    com = rel.center_mask
+    if com == (1 << n) - 1:
         return Status.PASS, ""
-    missing = min(full - com)
-    partner = min(b for b in range(alg.size) if not alg.commutes(missing, b))
+    missing = min(x for x in range(n) if not com >> x & 1)
+    partner = min(b for b in range(n) if not rel.commutors[b] >> missing & 1)
     return Status.FLAG, (
         f"literal form fails: {_fmt_elems(alg, x=missing, y=partner)} do not commute "
         "(expected off the Boolean case; see the l3/mo2 notes in the index)"
     )
 
 
-def _proc_benzene_facts(alg: FiniteAlgebra, report):
+def _proc_benzene_facts(alg: FiniteAlgebra, report, rel: _Relations):
     iso = structure.is_isomorphic(alg, catalog.o6())
     if iso is None:
         return Status.SKIP, "not the benzene table"
@@ -431,7 +491,7 @@ def _proc_benzene_facts(alg: FiniteAlgebra, report):
     return Status.PASS, ""
 
 
-def _proc_no_benzene_subalgebra(alg: FiniteAlgebra, report):
+def _proc_no_benzene_subalgebra(alg: FiniteAlgebra, report, rel: _Relations):
     found = structure.find_o6_subalgebra(alg)
     if found is None:
         return Status.PASS, ""
@@ -439,8 +499,8 @@ def _proc_no_benzene_subalgebra(alg: FiniteAlgebra, report):
     return Status.FAIL, "benzene subalgebra on " + " ".join(alg.names[e] for e in elems)
 
 
-def _subset_names(alg: FiniteAlgebra, subset) -> str:
-    return ",".join(alg.names[i] for i in sorted(subset))
+def _subset_names(alg: FiniteAlgebra, subset: int) -> str:
+    return ",".join(alg.names[i] for i in range(alg.size) if subset >> i & 1)
 
 
 _PROCEDURES = {
@@ -536,13 +596,13 @@ def _eval_component(alg: FiniteAlgebra, report, comp: Component):
     return True, ""
 
 
-def _eval_entry(alg: FiniteAlgebra, report, entry: BankEntry) -> EntryResult:
+def _eval_entry(alg: FiniteAlgebra, report, rel: _Relations, entry: BankEntry) -> EntryResult:
     if entry.class_level:
         return EntryResult(entry.entry_id, Status.SKIP, "class-level check; run over an enumeration")
     if not report.member(_TIERS[entry.required]):
         return EntryResult(entry.entry_id, Status.SKIP, f"needs class {entry.required}")
     if entry.procedure is not None:
-        status, detail = _PROCEDURES[entry.procedure](alg, report)
+        status, detail = _PROCEDURES[entry.procedure](alg, report, rel)
         if status is Status.FAIL and entry.expect_refuted_on:
             status = Status.FLAG
         return EntryResult(entry.entry_id, status, detail)
@@ -583,7 +643,8 @@ def run_bank(alg: FiniteAlgebra, report: ClassificationReport | None = None) -> 
     """Evaluate every applicable entry on one table."""
     if report is None:
         report = classify(alg)
-    return BankReport(tuple(_eval_entry(alg, report, e) for e in ENTRIES))
+    rel = _Relations(alg)
+    return BankReport(tuple(_eval_entry(alg, report, rel, e) for e in ENTRIES))
 
 
 @dataclass(frozen=True)

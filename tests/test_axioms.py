@@ -1,16 +1,15 @@
 import itertools
 import random
 
+from iomlat import terms
 from iomlat.axioms import (
     CLASS_AXIOMS,
     Axiom,
+    axiom_statements,
     check_axiom,
     classify,
     distributive_triple,
     failed_axioms,
-    idis1_triple,
-    idis2_triple,
-    idiv_pair,
 )
 from iomlat.algebras import FiniteAlgebra
 from iomlat.modelsearch import EnumerationTask, enumerate_models
@@ -82,9 +81,20 @@ def test_degenerate_flagged():
     assert report.is_implicative_boolean  # everything holds on one point
 
 
+def _idiv_at(alg, x, y):
+    (idiv,) = axiom_statements(Axiom.IDIV)
+    return terms.atom_holds(idiv, alg, {"x": x, "y": y})
+
+
+def _idis_at(alg, x, y, z):
+    """Each IDIS identity at the single triple (x, y, z)."""
+    return tuple(terms.atom_holds(eq, alg, {"x": x, "y": y, "z": z})
+                 for eq in axiom_statements(Axiom.IDIS))
+
+
 def test_mo2_fails_divisibility_on_cross_block_atoms(mo2):
     a, b = mo2.index("a"), mo2.index("b")
-    assert not idiv_pair(mo2, a, b)
+    assert not _idiv_at(mo2, a, b)
     assert not classify(mo2).is_implicative_boolean
 
 
@@ -93,20 +103,20 @@ def test_commuting_pairs_are_divisible_on_orthomodular_fixtures():
         alg = load_alg(name)
         for x, y in itertools.product(range(alg.size), repeat=2):
             if alg.commutes(x, y):
-                assert idiv_pair(alg, x, y)
+                assert _idiv_at(alg, x, y)
 
 
 def test_diagonal_divisibility_on_implicative_fixtures(o6, mo2, b8):
     for alg in (o6, mo2, b8):
         for x in range(alg.size):
-            assert idiv_pair(alg, x, x)
+            assert _idiv_at(alg, x, x)
 
 
 def test_distributivity_forms_swap_under_negation(mo2, o6):
     for alg in (mo2, o6):
         for x, y, z in itertools.product(range(alg.size), repeat=3):
             nx, ny, nz = alg.neg(x), alg.neg(y), alg.neg(z)
-            assert idis1_triple(alg, x, y, z) == idis2_triple(alg, nx, ny, nz)
+            assert _idis_at(alg, x, y, z)[0] == _idis_at(alg, nx, ny, nz)[1]
 
 
 def test_triple_examples(mo2, b4, b2):
@@ -115,7 +125,7 @@ def test_triple_examples(mo2, b4, b2):
     for x, y, z in itertools.product(range(b4.size), repeat=3):
         assert distributive_triple(b4, x, y, z)
     for x, y, z in itertools.product(range(b2.size), repeat=3):
-        assert idis1_triple(b2, x, y, z) and idis2_triple(b2, x, y, z)
+        assert _idis_at(b2, x, y, z) == (True, True)
 
 
 def test_mo2_is_not_distributive(mo2):

@@ -1,6 +1,16 @@
-from iomlat import bank, terms
-from iomlat.axioms import classify
+import hashlib
+import itertools
+
+import pytest
+
+from iomlat import bank, catalog, structure, terms
+from iomlat.algebras import RelationKind
+from iomlat.axioms import Axiom, classify, distributive_triple
 from iomlat.bank import Status
+from iomlat.modelsearch import EnumerationTask, enumerate_models
+from iomlat.ortho import from_ortholattice
+
+from conftest import ALG_FIXTURES, LAT_FIXTURES, load_alg, load_lat
 
 
 # the complete id set the catalog must cover, one id per indexed statement
@@ -159,3 +169,173 @@ def test_statement_file_is_in_sync():
     body = [line for line in doc.read_text(encoding="utf-8").splitlines()
             if line and not line.startswith("#")]
     assert body == bank.statement_lines()
+
+
+# -- the procedures against pointwise references -------------------------------
+#
+# Each reference sweeps the same triples or subsets as the catalog's
+# procedure, in the same order, through the public pointwise functions; the
+# procedure reads relations built once per table and must report the same
+# status and detail, failures included.
+
+
+def _ref_fmt(alg, **kw):
+    return " ".join(f"{k}={alg.names[v]}" for k, v in kw.items())
+
+
+def _ref_subsets(n):
+    for bits in range(1, 1 << n):
+        yield frozenset(i for i in range(n) if bits >> i & 1)
+
+
+def _ref_names(alg, subset):
+    return ",".join(alg.names[i] for i in sorted(subset))
+
+
+def _ref_triples(alg, qualifies, names):
+    for t in itertools.product(range(alg.size), repeat=3):
+        if qualifies(*t) and not distributive_triple(alg, *t):
+            return Status.FAIL, _ref_fmt(alg, **dict(zip(names, t)))
+    return Status.PASS, ""
+
+
+def _ref_commuting_triple_distributivity(alg):
+    return _ref_triples(alg, lambda x, y, z: alg.commutes(z, x) and alg.commutes(z, y),
+                        ("x", "y", "z"))
+
+
+def _ref_comparable_triples(alg):
+    leq = alg.relation_matrix(RelationKind.LE_Q).bits
+    return _ref_triples(
+        alg,
+        lambda x1, x2, y: (leq[x1][y] or leq[y][x1]) and (leq[x2][y] or leq[y][x2]),
+        ("x1", "x2", "y"))
+
+
+def _ref_center_triples(alg):
+    cent = structure.center(alg, check_class=False)
+    return _ref_triples(alg, lambda x1, x2, y: (x1 in cent and x2 in cent) or y in cent,
+                        ("x1", "x2", "y"))
+
+
+def _ref_center_subalgebra(alg):
+    cent = structure.center(alg, check_class=False)
+    if alg.zero not in cent or alg.one not in cent:
+        return Status.FAIL, "center misses a bound"
+    for a in cent:
+        if alg.neg(a) not in cent:
+            return Status.FAIL, f"center not closed under negation at {alg.names[a]}"
+        for b in cent:
+            if alg.imp(a, b) not in cent:
+                return Status.FAIL, f"center not closed under -> at {_ref_fmt(alg, a=a, b=b)}"
+    sub_report = classify(structure.restrict(alg, cent))
+    if not sub_report.is_implicative_boolean:
+        return Status.FAIL, "restriction to the center is not divisible implicative"
+    if not sub_report.results[Axiom.IDIS].passed:
+        return Status.FAIL, "restriction to the center is not distributive"
+    return Status.PASS, ""
+
+
+def _ref_center_vs_complements(alg):
+    cent = structure.center(alg, check_class=False)
+    for x in range(alg.size):
+        if (x in cent) != (structure.complements(alg, x) == frozenset((alg.neg(x),))):
+            return Status.FAIL, _ref_fmt(alg, x=x)
+    return Status.PASS, ""
+
+
+def _ref_commutor_sublattice(alg):
+    for subset in _ref_subsets(alg.size):
+        com = structure.commutor(alg, subset, check_class=False)
+        where = f"commutor of {{{_ref_names(alg, subset)}}}"
+        if alg.zero not in com or alg.one not in com:
+            return Status.FAIL, f"{where} misses a bound"
+        for a in com:
+            if alg.neg(a) not in com:
+                return Status.FAIL, f"{where} not closed under negation at {alg.names[a]}"
+            for b in com:
+                if any(v not in com for v in (alg.imp(a, b), alg.cap(a, b), alg.cup(a, b))):
+                    return Status.FAIL, f"{where} not closed at {_ref_fmt(alg, a=a, b=b)}"
+    return Status.PASS, ""
+
+
+def _ref_commutor_contains_center(alg):
+    cent = structure.center(alg, check_class=False)
+    for subset in _ref_subsets(alg.size):
+        if not cent <= structure.commutor(alg, subset, check_class=False):
+            return Status.FAIL, f"center escapes the commutor of {{{_ref_names(alg, subset)}}}"
+    return Status.PASS, ""
+
+
+def _ref_commutor_whole_carrier(alg):
+    full = frozenset(range(alg.size))
+    com = structure.commutor(alg, full, check_class=False)
+    if com == full:
+        return Status.PASS, ""
+    missing = min(full - com)
+    partner = min(b for b in range(alg.size) if not alg.commutes(missing, b))
+    return Status.FLAG, (
+        f"literal form fails: {_ref_fmt(alg, x=missing, y=partner)} do not commute "
+        "(expected off the Boolean case; see the l3/mo2 notes in the index)"
+    )
+
+
+_REFERENCES = {
+    "commuting_triple_distributivity": _ref_commuting_triple_distributivity,
+    "comparable_triples": _ref_comparable_triples,
+    "center_triples": _ref_center_triples,
+    "center_subalgebra": _ref_center_subalgebra,
+    "center_vs_complements": _ref_center_vs_complements,
+    "commutor_sublattice": _ref_commutor_sublattice,
+    "commutor_contains_center": _ref_commutor_contains_center,
+    "commutor_whole_carrier": _ref_commutor_whole_carrier,
+}
+
+
+@pytest.fixture(scope="module")
+def reference_tables():
+    tables = [load_alg(name) for name in ALG_FIXTURES]
+    tables += [from_ortholattice(load_lat(name)) for name in LAT_FIXTURES]
+    for klass, top in (("be", 4), ("invbe", 6), ("implinvbe", 8)):
+        for n in range(2, top + 1):
+            tables += enumerate_models(EnumerationTask(size=n, klass=klass))
+    return tables
+
+
+def test_relations_match_the_pointwise_functions(reference_tables):
+    for alg in reference_tables:
+        n = alg.size
+        rel = bank._Relations(alg)
+        assert rel.nondistributive == tuple(
+            t for t in itertools.product(range(n), repeat=3)
+            if not distributive_triple(alg, *t))
+        assert rel.center == structure.center(alg, check_class=False)
+        first = {}
+        for bits, subset in enumerate(_ref_subsets(n), start=1):
+            com = structure.commutor(alg, subset, check_class=False)
+            first.setdefault(sum(1 << x for x in com), bits)
+        assert list(rel.subset_commutors.items()) == list(first.items())
+
+
+def test_procedures_match_their_pointwise_references(reference_tables):
+    # the procedures are called on every table, in the bank's tier or not,
+    # so that their failure details are compared too
+    failed = {name: 0 for name in _REFERENCES}
+    for alg in reference_tables:
+        report = classify(alg)
+        rel = bank._Relations(alg)
+        for name, reference in _REFERENCES.items():
+            expected = reference(alg)
+            assert bank._PROCEDURES[name](alg, report, rel) == expected, (name, alg.table)
+            failed[name] += expected[0] is Status.FAIL
+    for name in ("commuting_triple_distributivity", "comparable_triples",
+                 "center_triples", "commutor_sublattice"):
+        assert failed[name] > 0, name
+
+
+def test_boolean_sixteen_run_is_unchanged():
+    # SHA-256 of the newline-joined lines of the sweep over all 2^16 subsets
+    report = bank.run_bank(catalog.boolean_algebra(4))
+    assert report.summary() == "total=85 pass=83 fail=0 skip=2"
+    digest = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
+    assert digest == "501147fad6bc2ec9ac526efcd0115b693b879e9d67d00d1b6db54f4b2abc6d2a"
