@@ -1,13 +1,14 @@
 """Command-line entry point.
 
 Exit codes: 0 when everything requested passed, 1 when any requested check
-reported FAIL, 2 on unusable input (unreadable file, malformed table or
-statement, unknown flag value).
+reported FAIL, 2 on unusable input (unreadable file, unwritable output path,
+malformed table or statement, unknown flag value).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -42,9 +43,20 @@ def _witness_text(alg, witness, vars):
     return terms.format_witness(witness, alg, vars)
 
 
+@contextlib.contextmanager
+def _writing():
+    """A failed write is unusable input too, named as a write; `main`
+    reports every other `OSError` as a failed read."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename}: {exc.strerror}") from None
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing():
+            Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -125,11 +137,13 @@ def _cmd_enumerate(args) -> int:
     count = 0
     emit_dir = Path(args.emit) if args.emit else None
     if emit_dir is not None:
-        emit_dir.mkdir(parents=True, exist_ok=True)
+        with _writing():
+            emit_dir.mkdir(parents=True, exist_ok=True)
     for alg in modelsearch.enumerate_models(task):
         if emit_dir is not None:
             name = f"{args.klass}_{args.size}_{count}.alg"
-            (emit_dir / name).write_text(format_algtab(alg), encoding="utf-8")
+            with _writing():
+                (emit_dir / name).write_text(format_algtab(alg), encoding="utf-8")
         count += 1
     print(f"count={count}")
     return 0
@@ -340,8 +354,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read {exc.filename}")
+    except OSError as exc:
+        if exc.filename is None:
+            return _fail(str(exc))
+        return _fail(f"cannot read {exc.filename}: {exc.strerror}")
     except InputError as exc:
         return _fail(str(exc))
     except IomlatError as exc:

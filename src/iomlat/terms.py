@@ -23,21 +23,37 @@ variable name.  Statement files carry one statement per line, with '#'
 starting a comment.  Terms nest at most `MAX_DEPTH` levels; deeper input is
 a `ParseError` with the byte offset where the bound was crossed.
 
-Evaluation has one path.  `_Builder` turns a term, atom or statement into
-nested closures over the algebra's raw implication table, its constants and
-its negation column (`a -> 0` for each `a`), read once per build.  A built
-closure takes an environment tuple, one element index per variable in a
-fixed order, and does nothing but tuple lookups and calls to its children:
-no type dispatch, no per-operation range check and no dict per assignment.
-`holds` builds its statement once and lets `itertools.product` sweep every
-assignment in lexicographic order, making the witness dict only on failure.
-`evaluate` and `atom_holds` build the same closures for a single
-caller-supplied assignment, which they range-check once up front, since a
-negative index into a tuple would silently wrap.
+Evaluation builds closures, and `holds` also has a compiled sweep.
+`_Builder` turns a term, atom or statement into nested closures over the
+algebra's raw implication table, its constants and its negation column
+(`a -> 0` for each `a`), read once per build.  A built closure takes an
+environment tuple, one element index per variable in a fixed order, and
+does nothing but tuple lookups and calls to its children: no type dispatch,
+no per-operation range check and no dict per assignment.  `evaluate` and
+`atom_holds` build these closures for a single caller-supplied assignment,
+which they range-check once up front, since a negative index into a tuple
+would silently wrap; `checker` returns them for callers that test their own
+assignments.
+
+`holds` sweeps every assignment in lexicographic order and makes the
+witness dict only on failure.  It sweeps in one of two ways, with the same
+result.  The closure sweep builds the statement and lets
+`itertools.product` feed it.  The compiled sweep is Python source generated
+from the statement alone (`_SweepSource`): one nested loop per variable,
+each distinct table read done once, in the loop of the last variable it
+reads.  `compile` costs about as much as a few thousand closure steps, so
+`holds` counts each statement's closure work (assignments times term
+nodes, summed over its sweeps so far, this one included) and compiles the
+statement once that reaches `_COMPILE_AT`; a statement swept once on a
+small table never pays for it.  Statements with more than
+`_MAX_COMPILED_VARS` variables are never compiled.  The work counts and
+compiled sweeps live in a per-process cache keyed by the statement's value,
+bounded to the `_SWEEP_CACHE_SIZE` statements swept last.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -551,12 +567,271 @@ def holds(stmt: Statement | str, alg: FiniteAlgebra) -> HoldsResult:
         stmt = parse_statement(stmt)
     if not isinstance(stmt, (Equation, QuasiIdentity)):
         raise InputError("holds() wants an equation or quasi-identity, not a bare term")
-    check = checker(stmt, alg)
-    sweep = itertools.product(range(alg.size), repeat=len(stmt.vars))
-    failing = next(itertools.filterfalse(check, sweep), None)
+    code = _warm_sweep(stmt, alg.size)
+    failing = _sweep_closures(stmt, alg) if code is None else _sweep_compiled(code, alg)
     if failing is None:
         return HoldsResult(True)
     return HoldsResult(False, dict(zip(stmt.vars, failing)))
+
+
+def _sweep_closures(stmt: Statement, alg: FiniteAlgebra) -> tuple[int, ...] | None:
+    """The first failing assignment, in `stmt.vars` order, or None."""
+    sweep = itertools.product(range(alg.size), repeat=len(stmt.vars))
+    return next(itertools.filterfalse(checker(stmt, alg), sweep), None)
+
+
+def _sweep_compiled(code, alg: FiniteAlgebra) -> tuple[int, ...] | None:
+    """`_sweep_closures`, run by a function from `_compile_sweep`."""
+    table, zero = alg.table, alg.zero
+    return code(table, [row[zero] for row in table], zero, alg.one, range(alg.size))
+
+
+# -- compiled sweeps ----------------------------------------------------------
+
+# CPython allows 20 statically nested blocks in one function and each
+# variable's loop is one: 21 loops are a SyntaxError ("too many statically
+# nested blocks") on 3.10-3.12; 3.13 allows 21.
+_MAX_COMPILED_VARS = 20
+
+# Closure work, in assignments times term nodes, that a statement's sweeps
+# add up to before it is compiled: about one compile's cost.  Over the axiom
+# and catalog statements on the fixtures (Python 3.11.7, 2 vCPU), `compile`
+# took 45-209 us (median 105 us), and a least-squares fit over 610 full
+# sweeps gave 10 us + 33 ns per unit of work for the closures and
+# 2 us + 3 ns for the compiled sweep, so one compile costs about 3,200 units
+# of closure work.
+_COMPILE_AT = 3000
+
+# Statements whose sweep `holds` keeps track of, least recently swept
+# dropped first.
+_SWEEP_CACHE_SIZE = 1024
+
+# Inlined reads nest at most this deep in one generated expression; a deeper
+# one gets a temporary, which keeps long terms within the compiler's bracket
+# nesting limit.
+_INLINE_DEPTH = 16
+
+
+class _Sweep:
+    """One statement's closure work so far, and then its compiled sweep."""
+
+    __slots__ = ("nodes", "work", "code")
+
+    def __init__(self, stmt: Statement):
+        atoms = (stmt,) if isinstance(stmt, Equation) else (*stmt.hypotheses, stmt.conclusion)
+        nodes = [t for atom in atoms for t in (atom.lhs, atom.rhs)]
+        for t in nodes:  # the list grows to every node of every term
+            cls = type(t)
+            if cls is Neg:
+                nodes.append(t.arg)
+            elif cls is not Var and cls is not Const:
+                nodes += (t.lhs, t.rhs)
+        self.nodes = len(nodes)
+        self.work = 0
+        self.code = None
+
+
+@functools.lru_cache(maxsize=_SWEEP_CACHE_SIZE)
+def _sweep_of(stmt: Statement) -> _Sweep:
+    return _Sweep(stmt)
+
+
+def _warm_sweep(stmt: Statement, size: int):
+    """The compiled sweep of `stmt` once it is worth compiling, else None.
+
+    Each call adds the closure work of one sweep over `size` elements,
+    size^k assignments times the statement's term nodes, to the statement's
+    total, and the statement is compiled when the total reaches
+    `_COMPILE_AT`.  Concurrent callers share the cache unlocked: at worst
+    they compile a statement twice or drop some work from its total.
+    """
+    if len(stmt.vars) > _MAX_COMPILED_VARS:
+        return None
+    sweep = _sweep_of(stmt)
+    if sweep.code is None:
+        sweep.work += size ** len(stmt.vars) * sweep.nodes
+        if sweep.work >= _COMPILE_AT:
+            sweep.code = _compile_sweep(stmt)
+    return sweep.code
+
+
+def _compile_sweep(stmt: Statement):
+    """`_sweep_closures` for `stmt` as a Python function of the raw table.
+
+    See `_SweepSource` for the code; none of the statement's text goes into
+    it, and it sees no builtins.
+    """
+    namespace: dict = {}
+    exec(compile(_SweepSource(stmt).text(), "<iomlat sweep>", "exec"),
+         {"__builtins__": {}}, namespace)
+    return namespace["sweep"]
+
+
+class _SweepSource:
+    """Source of `sweep(T, N, ZERO, ONE, R)`: one `for vI in R` loop per
+    variable, nested in `stmt.vars` order, returning the first failing
+    assignment as a tuple, or None when there is none.
+
+    Every operation is lowered to reads of the table `T` and the negation
+    column `N`.  Each distinct read is a node: a variable, a constant, a row
+    `T[a]`, an entry `row[b]` or a negation `N[a]`.  A node's level is the
+    loop of the last variable it reads (-1, before the loops, when it reads
+    none), and it is computed once, in that loop: inlined into its one user
+    there, or else held in a temporary `tI`.  Each atom is an equality of
+    two nodes, tested in the loop of its level.  A false hypothesis and a
+    true conclusion each `continue` that loop (before the loops they return
+    None), since no assignment under the current prefix can then fail; the
+    innermost loop returns the assignment that nothing skipped.  The loops
+    run in lexicographic order, as `itertools.product` does, so the result
+    is the first failing assignment.
+    """
+
+    def __init__(self, stmt: Statement):
+        self.slot = {v: i for i, v in enumerate(stmt.vars)}
+        self.depth = len(stmt.vars)
+        self.nodes: list[tuple] = []  # (op, child or leaf value, child or None)
+        self.level: list[int] = []
+        self.ids: dict[tuple, int] = {}
+        hypotheses = () if isinstance(stmt, Equation) else stmt.hypotheses
+        conclusion = stmt if isinstance(stmt, Equation) else stmt.conclusion
+        self.atoms = [(True, *self.atom(h)) for h in hypotheses]
+        self.atoms.append((False, *self.atom(conclusion)))
+
+    # -- lowering --------------------------------------------------------
+
+    def node(self, op: str, a, b=None) -> int:
+        key = (op, a, b)
+        i = self.ids.get(key)
+        if i is None:
+            if op == "var":
+                level = a
+            elif op == "const":
+                level = -1
+            else:
+                level = max(self.level[a], -1 if b is None else self.level[b])
+            i = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+            self.level.append(level)
+        return i
+
+    def imp(self, a: int, b: int) -> int:
+        return self.node("get", self.node("row", a), b)
+
+    def neg(self, a: int) -> int:
+        return self.node("neg", a)
+
+    def cap(self, a: int, b: int) -> int:
+        nb = self.neg(b)
+        return self.neg(self.imp(self.imp(self.neg(a), nb), nb))
+
+    def term(self, t: Term) -> int:
+        if isinstance(t, Var):
+            return self.node("var", self.slot[t.name])
+        if isinstance(t, Const):
+            return self.node("const", t.value)
+        if isinstance(t, Neg):
+            return self.neg(self.term(t.arg))
+        a, b = self.term(t.lhs), self.term(t.rhs)
+        if isinstance(t, Imp):
+            return self.imp(a, b)
+        if isinstance(t, Cup):
+            return self.imp(self.imp(a, b), b)
+        return self.cap(a, b)
+
+    def atom(self, atom: Atom) -> tuple[int, int]:
+        """The atom as two nodes that are equal exactly where it holds."""
+        a, b = self.term(atom.lhs), self.term(atom.rhs)
+        if isinstance(atom, Equation):
+            return a, b
+        kind = atom.kind
+        if kind is RelationKind.LE:
+            return self.imp(a, b), self.node("const", 1)
+        if kind is RelationKind.LE_Q:
+            return self.cap(a, b), a
+        if kind is RelationKind.LE_L:
+            return self.neg(self.imp(a, self.neg(b))), a
+        return self.imp(self.imp(a, self.neg(b)), self.neg(self.imp(a, b))), a
+
+    # -- emission --------------------------------------------------------
+
+    def text(self) -> str:
+        self.plan()
+        lines = self.lines = ["def sweep(T, N, ZERO, ONE, R):"]
+        self.indent = "    "
+        for level in range(-1, self.depth):
+            if level >= 0:
+                lines.append(f"{self.indent}for v{level} in R:")
+                self.indent += "    "
+            skip = "continue" if level >= 0 else "return None"
+            for hypothesis, a, b in self.atoms:
+                if max(self.level[a], self.level[b]) == level:
+                    self.define((a, b))
+                    test = "!=" if hypothesis else "=="
+                    lines.append(f"{self.indent}if {self.expr(a)} {test} {self.expr(b)}: {skip}")
+            # the rest of this loop's temporaries, read by deeper loops
+            self.define([i for i, temp in enumerate(self.temp) if temp and self.level[i] == level])
+        lines.append(f"{self.indent}return ({''.join(f'v{i}, ' for i in range(self.depth))})")
+        lines.append("    return None")
+        return "\n".join(lines) + "\n"
+
+    def plan(self):
+        """Choose the temporaries: the nodes read twice, read from a deeper
+        loop, or nested too deep (`_INLINE_DEPTH`) to inline."""
+        users: list[list[int]] = [[] for _ in self.nodes]
+        for i, (op, a, b) in enumerate(self.nodes):
+            if op not in ("var", "const"):
+                for c in (a, b):
+                    if c is not None:
+                        users[c].append(self.level[i])
+        for _, a, b in self.atoms:
+            users[a].append(max(self.level[a], self.level[b]))
+            users[b].append(max(self.level[a], self.level[b]))
+        self.name: dict[int, str] = {}  # leaves and defined temporaries
+        self.temp = [False] * len(self.nodes)
+        height = [0] * len(self.nodes)  # of an inlined node's expression
+        for i, (op, a, b) in enumerate(self.nodes):
+            if op == "var":
+                self.name[i] = f"v{a}"
+            elif op == "const":
+                self.name[i] = "ONE" if a == 1 else "ZERO"
+            else:
+                h = 1 + max(height[a], 0 if b is None else height[b])
+                if len(users[i]) > 1 or users[i][0] > self.level[i] or h > _INLINE_DEPTH:
+                    self.temp[i] = True
+                else:
+                    height[i] = h
+        self.temps = 0
+
+    def define(self, roots):
+        """Assign every temporary that `roots` read and that is not yet
+        assigned, children first."""
+        wanted, stack = set(), list(roots)
+        while stack:
+            i = stack.pop()
+            if i in self.name or i in wanted:
+                continue
+            if self.temp[i]:
+                wanted.add(i)
+            _, a, b = self.nodes[i]
+            stack.append(a)
+            if b is not None:
+                stack.append(b)
+        for i in sorted(wanted):  # a node's children come before it
+            expr = self.expr(i)
+            self.name[i] = f"t{self.temps}"
+            self.temps += 1
+            self.lines.append(f"{self.indent}{self.name[i]} = {expr}")
+
+    def expr(self, i: int) -> str:
+        name = self.name.get(i)
+        if name is not None:
+            return name
+        op, a, b = self.nodes[i]
+        if op == "row":
+            return f"T[{self.expr(a)}]"
+        if op == "neg":
+            return f"N[{self.expr(a)}]"
+        return f"{self.expr(a)}[{self.expr(b)}]"
 
 
 def format_witness(env: dict[str, int], alg: FiniteAlgebra, vars: tuple[str, ...] | None = None) -> str:

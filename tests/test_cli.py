@@ -42,6 +42,27 @@ def test_missing_file_is_a_usage_error(capsys):
     assert "cannot read" in err
 
 
+FIXTURES = str(fixture_path(""))
+
+
+def test_a_directory_as_the_table_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "report", FIXTURES)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: cannot read {FIXTURES}: Is a directory"]
+
+
+def test_a_directory_as_the_statement_file_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eval", B2, "--file", FIXTURES)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: cannot read {FIXTURES}: Is a directory"]
+
+
+def test_a_file_as_the_emit_directory_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--size", "4", "--class", "ioml", "--emit", B2)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: cannot write {B2}: File exists"]
+
+
 def test_classify_prints_labels(capsys):
     code, out, _ = run(capsys, "classify", O6)
     assert code == 0
@@ -64,6 +85,16 @@ def test_eval_statement_file(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0].endswith("HOLDS")
     assert "FAILS" in lines[1]
+
+
+def test_eval_past_twenty_variables(capsys):
+    # one loop per variable would pass CPython's nesting limit, so this
+    # statement is swept by the closures; its first assignment fails
+    names = [f"x{i}" for i in range(1, 22)]
+    stmt = " -> ".join(names) + " = 0"
+    code, out, err = run(capsys, "eval", B2, "--statement", stmt)
+    assert (code, err) == (1, "")
+    assert out == f"{stmt} FAILS " + " ".join(f"{v}=0" for v in names) + "\n"
 
 
 def test_eval_parse_error_exit(capsys):

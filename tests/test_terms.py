@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iomlat import bank, terms
+from iomlat.algebras import RelationKind
 from iomlat.axioms import AXIOM_SOURCES
 from iomlat.errors import InputError, ParseError
 
@@ -300,6 +301,104 @@ def test_holds_matches_the_oracle_under_relabeling(name, data):
             assert _oracle_fails_at(stmt, alg, res.witness)
             for env in _assignments_before(res.witness, stmt.vars, alg.size):
                 assert not _oracle_fails_at(stmt, alg, env)
+
+
+# statements at the edges of the compiled sweep's code generation
+_EDGES = (
+    "0 -> 0 = 1",  # no variables, holds
+    "1 = 0",  # no variables, fails with the empty witness
+    "0 = 1 |- x = y",  # a closed false hypothesis
+    "x = 1 |- x & y = y",  # a hypothesis on the first variable only
+    "x <=l 0, y C x |- z -> x = 1",
+    "(x -> y) & (x -> y)' = ((x -> y) -> y) -> ((x -> y) -> y)",  # repeated subterms
+    *(f"x {rel} y |- y {rel} x" for rel in ("<=", "<=q", "<=l", "C")),
+    *(f"x {rel} (y -> x')" for rel in ("<=", "<=q", "<=l", "C")),
+    "x" + " -> y" * terms.MAX_DEPTH + " = 1",  # terms at MAX_DEPTH
+    "x" + " & y" * terms.MAX_DEPTH + " = x",
+    "x" + "'" * terms.MAX_DEPTH + " = x",
+    "T & N <= ZERO, R C ONE |- def -> __import__ = sweep",  # names the generated code uses
+    "T -> N = def | __import__",
+)
+
+
+def _both_sweeps(stmt, alg):
+    """The closure and the compiled sweep's first failing assignment."""
+    closures = terms._sweep_closures(stmt, alg)
+    compiled = terms._sweep_compiled(terms._compile_sweep(stmt), alg)
+    return closures, compiled
+
+
+def _holds_result(stmt, failing):
+    return terms.HoldsResult(True) if failing is None else \
+        terms.HoldsResult(False, dict(zip(stmt.vars, failing)))
+
+
+@pytest.mark.parametrize("name", ALG_FIXTURES)
+def test_both_sweeps_agree_with_each_other_and_the_oracle(name):
+    base = load_alg(name)
+    rng = random.Random(f"sweeps {name}")
+    algs = [base] + [relabeled(base, rng.sample(range(base.size), base.size)) for _ in range(3)]
+    for alg in algs:
+        for stmt in _SWEPT + tuple(terms.parse_statement(src) for src in _EDGES):
+            closures, compiled = _both_sweeps(stmt, alg)
+            expected = _holds_result(stmt, closures)
+            assert _holds_result(stmt, compiled) == expected, terms.format_statement(stmt)
+            assert expected.ok == oracle_eval.brute_holds(stmt, alg)
+            assert terms.holds(stmt, alg) == expected
+
+
+_relation_kinds = st.sampled_from(list(RelationKind))
+
+
+def _atom_strategy():
+    pair = st.tuples(_term_strategy(), _term_strategy())
+    return st.one_of(
+        pair.map(lambda p: terms.Equation(*p)),
+        st.tuples(_relation_kinds, pair).map(lambda k: terms.Relation(k[0], *k[1])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypotheses=st.lists(_atom_strategy(), max_size=2), conclusion=_atom_strategy(),
+       name=st.sampled_from(ALG_FIXTURES))
+def test_both_sweeps_agree_on_random_statements(hypotheses, conclusion, name):
+    alg = load_alg(name)
+    if not hypotheses and isinstance(conclusion, terms.Equation):
+        stmt = conclusion
+    else:
+        stmt = terms.QuasiIdentity(tuple(hypotheses), conclusion)
+    closures, compiled = _both_sweeps(stmt, alg)
+    assert compiled == closures
+    assert (closures is None) == oracle_eval.brute_holds(stmt, alg)
+
+
+def test_holds_compiles_a_statement_once_its_work_pays_for_it(b2, b8):
+    terms._sweep_of.cache_clear()
+    stmt = terms.parse_statement("x -> (y -> z') = y -> (x -> z')")
+    sweep = terms._sweep_of(stmt)
+    assert (sweep.nodes, sweep.work, sweep.code) == (12, 0, None)
+    terms.holds(stmt, b2)  # 2^3 assignments: closures
+    assert (sweep.work, sweep.code) == (8 * 12, None)
+    terms.holds(stmt, b8)  # 8^3 more: past _COMPILE_AT, compiled
+    assert 8 * 12 < terms._COMPILE_AT <= (8 + 512) * 12
+    assert sweep.code is not None
+    assert terms.holds(stmt, b8) == _holds_result(stmt, terms._sweep_closures(stmt, b8))
+
+
+def test_twenty_variables_compile_and_twenty_one_are_swept_by_closures(b2):
+    chain = lambda k: " -> ".join(f"x{i}" for i in range(1, k + 1)) + " = 0"
+    twenty = terms.parse_statement(chain(20))
+    assert _both_sweeps(twenty, b2) == ((0,) * 20, (0,) * 20)
+    wide = terms.parse_statement(chain(21))
+    before = terms._sweep_of.cache_info()
+    assert terms.holds(wide, b2) == terms.HoldsResult(False, dict.fromkeys(wide.vars, 0))
+    assert terms._sweep_of.cache_info() == before  # never tracked, never compiled
+
+
+def test_the_sweep_cache_is_bounded(b2):
+    for i in range(5000):
+        terms.holds(f"x{i} -> x{i} = 1", b2)
+    assert terms._sweep_of.cache_info().currsize == terms._SWEEP_CACHE_SIZE
 
 
 def test_statement_file_lines():
